@@ -6,6 +6,13 @@ classical bounds are checked inside their own hypotheses (EKR and the
 product bound need n >= 2k, the non-trivial bound needs n > 2k, and the
 matching bound |F| <= nu(F) C(n-1, k-1) needs n >= k(nu + 1); outside that
 regime the complete k-graph already violates it).
+
+Criterion 12 checks the matching bound on graphs (k = 2) through its dual
+rather than by listing edge sets: an edge set of K_n has no s-matching iff
+its complement meets every s-matching, so the largest one has C(n, 2) - tau
+edges, where tau is the covering number of the s-matchings viewed as sets
+of edge positions (max_edges_without_matching).  Comparing that one number
+with the bound decides every edge set at once.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .branching import run_branching_cross, run_branching_t, smallest_branching_level
@@ -46,7 +52,12 @@ from .search import (
     sample_saturated_t_family,
     _trial_rng,
 )
-from .transversals import basis_pair, basis_t, has_matching_of_size, matching_number
+from .transversals import (
+    basis_pair,
+    basis_t,
+    matching_number,
+    max_edges_without_matching,
+)
 
 SEED = 21057
 
@@ -292,22 +303,14 @@ def _c12_cited_bounds() -> tuple[bool, str]:
         for fb, gb in pairs:
             if fb and gb and fb.bit_count() * gb.bit_count() > bound:
                 return False, f"product bound fails at n={n}"
-        # matching bound: within its regime only nu <= 2 matters for n <= 7,
-        # so it suffices that every family of size 2(n-1)+1 has a 3-matching
-        # (larger families contain one; nu = 1 is covered by EKR above)
-        layer = full_layer(GroundSet(n), 2).members
-        if n <= 5:
-            for bits in range(1, 1 << len(layer)):
-                ms = [layer[i] for i in range(len(layer)) if bits >> i & 1]
-                nu = 0
-                while has_matching_of_size(ms, nu + 1):
-                    nu += 1
-                if n >= 2 * (nu + 1) and len(ms) > nu * (n - 1):
-                    return False, f"matching bound fails at n={n}"
-        else:
-            for combo in combinations(layer, 2 * (n - 1) + 1):
-                if not has_matching_of_size(combo, 3):
-                    return False, f"matching bound fails at n={n}"
+        # matching bound |F| <= nu(F) (n-1), regime n >= 2(nu+1): nu = 1 is
+        # EKR above, and for nu* = the largest nu in the regime (nu* <= 2 at
+        # n <= 7) it suffices that every edge set with no (nu*+1)-matching
+        # has at most nu* (n-1) edges.  The largest such set is the
+        # complement of a minimum cover of the (nu*+1)-matchings of K_n.
+        nu_star = n // 2 - 1
+        if max_edges_without_matching(n, nu_star + 1) > nu_star * (n - 1):
+            return False, f"matching bound fails at n={n}"
     # seeded random families at (k, n) = (3, 10)
     ctx_bound = comb(9, 2)
     for i in range(1000):

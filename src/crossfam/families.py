@@ -306,11 +306,19 @@ def _parse_member_line(line: str, ground: GroundSet) -> int:
     line = line.strip()
     if not line:
         return 0
-    if line.startswith("hex:"):
-        mask = int(line[4:], 16)
-    else:
-        mask = mask_of(int(tok) for tok in line.split(","))
-    if not ground.contains_mask(mask):
+    try:
+        if line.startswith("hex:"):
+            mask, elements = int(line[4:], 16), None
+        else:
+            mask, elements = None, [int(tok) for tok in line.split(",")]
+    except ValueError:
+        raise DomainError(
+            f"set {line!r} is neither a comma-separated element list nor hex:<mask>"
+        ) from None
+    # range-check elements before shifting: a huge element would build a huge mask
+    if elements is not None and all(1 <= e <= ground.n for e in elements):
+        mask = mask_of(elements)
+    if mask is None or not ground.contains_mask(mask):
         raise DomainError(f"set {line!r} outside ground set [{ground.n}]")
     return mask
 

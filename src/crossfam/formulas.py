@@ -170,37 +170,70 @@ def eval_formula(formula_id: str, **params: int) -> int:
     raise DomainError(f"unknown formula id {formula_id!r}")
 
 
+def _ineq_1_7(n: int, k: int, p: int) -> bool:
+    return (n - p * (k + 1)) * binomial(n, k) <= (n - p) * binomial(n - p, k)
+
+
+def _ineq_1_8(n: int, k: int, l: int, t: int, p: int) -> bool:
+    lhs = (n - t - p * k) * partial_sum(n - t, k - l)
+    rhs = (n - t - p) * partial_sum(n - t - p, k - l)
+    return lhs <= rhs
+
+
+def _ineq_1_9(n: int, k: int, l: int, t: int) -> bool:
+    return (n - t - k) * partial_sum(n - t, k - l - 1) <= k * partial_sum(n - t, k - l)
+
+
+def _ineq_1_10(l: int, t: int) -> bool:
+    return (2 * t + 2) * _tail_sum(l, t, l) >= _tail_sum(l + 1, t, l + 1)
+
+
+# id -> (parameter names, domain predicate, domain statement, kernel); the
+# predicate and the kernel take the parameters positionally in that order
+_INEQUALITIES = {
+    "ineq_1_7": (
+        ("n", "k", "p"),
+        lambda n, k, p: n >= 1 and k >= 1 and p >= 1 and n > 2 * k + p,
+        "need positive n,k,p with n > 2k+p",
+        _ineq_1_7),
+    "ineq_1_8": (
+        ("n", "k", "l", "t", "p"),
+        lambda n, k, l, t, p: k > l >= 1 and k > t >= 1 and p >= 1 and n > 2 * k + p,
+        "need k > l >= 1, k > t >= 1, p >= 1, n > 2k+p",
+        _ineq_1_8),
+    "ineq_1_9": (
+        ("n", "k", "l", "t"),
+        lambda n, k, l, t: k > l >= 1 and k > t >= 1 and n >= 2 * k + 2,
+        "need k > l >= 1, k > t >= 1, n >= 2k+2",
+        _ineq_1_9),
+    "ineq_1_10": (
+        ("l", "t"),
+        lambda l, t: t >= 1 and l >= t + 1,
+        "need t >= 1, l >= t+1",
+        _ineq_1_10),
+}
+
+
+def _domain_error(iid: str, values: tuple[int, ...]) -> DomainError:
+    names, _, statement, _ = _INEQUALITIES[iid]
+    got = " ".join(f"{name}={v}" for name, v in zip(names, values))
+    return DomainError(f"{statement}; got {got}")
+
+
 def check_inequality(inequality_id: str, **params: int) -> bool:
     """Decide one of the catalogued inequalities exactly.
 
     All comparisons are cross-multiplied so no division ever happens; the
     multiplier that crosses sides is positive in every admissible range.
     """
-    iid = inequality_id
-    if iid == "ineq_1_7":
-        n, k, p = _need(params, "n", "k", "p")
-        _check(n >= 1 and k >= 1 and p >= 1 and n > 2 * k + p,
-               f"need positive n,k,p with n > 2k+p; got n={n} k={k} p={p}")
-        return (n - p * (k + 1)) * binomial(n, k) <= (n - p) * binomial(n - p, k)
-    if iid == "ineq_1_8":
-        n, k, l, t, p = _need(params, "n", "k", "l", "t", "p")
-        _check(k > l >= 1 and k > t >= 1 and p >= 1 and n > 2 * k + p,
-               f"need k > l >= 1, k > t >= 1, p >= 1, n > 2k+p; got n={n} k={k} l={l} t={t} p={p}")
-        lhs = (n - t - p * k) * partial_sum(n - t, k - l)
-        rhs = (n - t - p) * partial_sum(n - t - p, k - l)
-        return lhs <= rhs
-    if iid == "ineq_1_9":
-        n, k, l, t = _need(params, "n", "k", "l", "t")
-        _check(k > l >= 1 and k > t >= 1 and n >= 2 * k + 2,
-               f"need k > l >= 1, k > t >= 1, n >= 2k+2; got n={n} k={k} l={l} t={t}")
-        return (n - t - k) * partial_sum(n - t, k - l - 1) <= k * partial_sum(n - t, k - l)
-    if iid == "ineq_1_10":
-        l, t = _need(params, "l", "t")
-        _check(t >= 1 and l >= t + 1, f"need t >= 1, l >= t+1; got l={l} t={t}")
-        lhs = (2 * t + 2) * _tail_sum(l, t, l)
-        rhs = _tail_sum(l + 1, t, l + 1)
-        return lhs >= rhs
-    raise DomainError(f"unknown inequality id {inequality_id!r}")
+    entry = _INEQUALITIES.get(inequality_id)
+    if entry is None:
+        raise DomainError(f"unknown inequality id {inequality_id!r}")
+    names, domain, _, kernel = entry
+    values = _need(params, *names)
+    if not domain(*values):
+        raise _domain_error(inequality_id, values)
+    return kernel(*values)
 
 
 def f_monotone_check(kind: str, n: int, k: int, t: int | None = None) -> bool:
@@ -227,6 +260,10 @@ def inequality_grid(n_max: int = 200, k_max: int = 20, mode: str = "auto") -> di
     so for fixed (a, k - l, p) the smallest admissible k dominates all
     larger ones.  mode="raw" forces the direct 5-parameter sweep of
     ineq_1_8 (used to cross-validate the reduction at small sizes).
+
+    Each tuple's domain predicate and kernel are taken straight from the
+    inequality table and called positionally; check_inequality's per-call
+    keyword validation is skipped because the sweeps only generate integers.
     """
     if mode not in ("auto", "raw", "reduced"):
         raise DomainError(f"unknown grid mode {mode!r}")
@@ -234,15 +271,20 @@ def inequality_grid(n_max: int = 200, k_max: int = 20, mode: str = "auto") -> di
     checked = {iid: 0 for iid in INEQUALITY_IDS}
     failures: list[tuple] = []
 
-    def run(iid: str, **ps: int) -> None:
+    def run(iid: str, *values: int) -> None:
+        # the domain predicate is still asserted per tuple, so a grid bug
+        # raises instead of feeding the kernel an inadmissible tuple
+        names, domain, _, kernel = _INEQUALITIES[iid]
+        if not domain(*values):
+            raise _domain_error(iid, values)
         checked[iid] += 1
-        if not check_inequality(iid, **ps):
-            failures.append((iid, tuple(sorted(ps.items()))))
+        if not kernel(*values):
+            failures.append((iid, tuple(sorted(zip(names, values)))))
 
     for k in range(1, k_max + 1):
         for n in range(2 * k + 2, n_max + 1):
             for p in range(1, n - 2 * k):
-                run("ineq_1_7", n=n, k=k, p=p)
+                run("ineq_1_7", n, k, p)
 
     if use_raw:
         for k in range(2, k_max + 1):
@@ -250,7 +292,7 @@ def inequality_grid(n_max: int = 200, k_max: int = 20, mode: str = "auto") -> di
                 for p in range(1, n - 2 * k):
                     for l in range(1, k):
                         for t in range(1, k):
-                            run("ineq_1_8", n=n, k=k, l=l, t=t, p=p)
+                            run("ineq_1_8", n, k, l, t, p)
     else:
         # reduced cover: j = k - l, a = n - t; check at the smallest valid k
         for j in range(1, k_max):
@@ -261,7 +303,7 @@ def inequality_grid(n_max: int = 200, k_max: int = 20, mode: str = "auto") -> di
                 # p must leave room for a witness n = max(a+1, 2k+p+1) <= n_max
                 for p in range(1, min(a - k - 1, n_max - 2 * k)):
                     t = max(1, 2 * k + p - a + 1)
-                    run("ineq_1_8", n=a + t, k=k, l=k - j, t=t, p=p)
+                    run("ineq_1_8", a + t, k, k - j, t, p)
 
     for k in range(2, k_max + 1):
         if 2 * k + 2 > n_max:
@@ -272,11 +314,11 @@ def inequality_grid(n_max: int = 200, k_max: int = 20, mode: str = "auto") -> di
             if a + t > n_max:
                 continue
             for j in range(1, k):
-                run("ineq_1_9", n=a + t, k=k, l=k - j, t=t)
+                run("ineq_1_9", a + t, k, k - j, t)
 
     for l in range(2, k_max):
         for t in range(1, l):
-            run("ineq_1_10", l=l, t=t)
+            run("ineq_1_10", l, t)
 
     return {
         "n_max": n_max,

@@ -105,9 +105,12 @@ def _all_perms(n: int):
 
 
 def canonical_family_key(masks, n: int) -> tuple[int, ...]:
-    """Lexicographically minimal sorted mask tuple over all relabelings of [n]."""
+    """Lexicographically minimal sorted mask tuple over all relabelings of [n].
+
+    The relabelings are enumerated outright, so n is capped at 8 (8! = 40320).
+    """
     if n > 8:
-        return tuple(sorted(masks))
+        raise DomainError(f"canonical form is only available for n <= 8, got n={n}")
     ms = tuple(masks)
     return min(tuple(sorted(remap_mask(m, p) for m in ms)) for p in _all_perms(n))
 
@@ -528,25 +531,37 @@ class CheckReport:
         }
 
 
+@lru_cache(maxsize=None)
+def _corank1_up(n: int, k: int) -> tuple[tuple[int, int], ...]:
+    """((d, bitset of the k-sets above d), ...) over all (k-1)-sets d.
+
+    Built on first use, apart from the eager layer_context build, so that
+    callers that never ask for the corank-1 layer never pay for it.
+    """
+    up: dict[int, int] = defaultdict(int)
+    for i, m in enumerate(layer_context(n, k).masks):
+        mm = m
+        while mm:
+            low = mm & -mm
+            up[m ^ low] |= 1 << i
+            mm ^= low
+    return tuple(sorted(up.items()))
+
+
 def realized_corank1_layer(ctx: LayerContext, fb: int, gb: int) -> list[int]:
-    """Masks of the (k-1)-sets realized as intersections of distinct members."""
-    fd: dict[int, set[int]] = defaultdict(set)
-    gd: dict[int, set[int]] = defaultdict(set)
-    for bits, d in ((fb, fd), (gb, gd)):
-        for i in _indices(bits):
-            m = ctx.masks[i]
-            mm = m
-            while mm:
-                low = mm & -mm
-                d[m ^ low].add(low)
-                mm ^= low
+    """Masks of the (k-1)-sets realized as intersections of distinct members.
+
+    A (k-1)-set d is a & b for some a in F, b in G with a != b exactly when
+    both F and G have members above d and those are not one and the same
+    k-set: the two bitsets below are nonzero and not one equal single bit.
+    """
     out = []
-    for dmask, xs in fd.items():
-        ys = gd.get(dmask)
-        if not ys:
-            continue
-        if len(xs) > 1 or len(ys) > 1 or xs != ys:
-            out.append(dmask)
+    for dmask, up in _corank1_up(ctx.ground.n, ctx.k):
+        above_f = fb & up
+        if above_f:
+            above_g = gb & up
+            if above_g and (above_f != above_g or above_f & (above_f - 1)):
+                out.append(dmask)
     return out
 
 

@@ -126,13 +126,25 @@ def matching_number(f: Family) -> int:
 
 
 def has_matching_of_size(masks, size: int) -> bool:
-    """Whether `size` pairwise disjoint masks exist (early-exit search)."""
+    """Whether `size` pairwise disjoint masks exist (early-exit search).
+
+    Counting prune: every member still to be picked avoids the elements
+    already used, has at least `smallest` elements, and lies inside the
+    union of all members, so a branch whose free elements number fewer
+    than (members still needed) * smallest cannot succeed.
+    """
     ms = sorted(masks)
+    union = 0
+    for m in ms:
+        union |= m
+    smallest = min(m.bit_count() for m in ms) if ms else 0
 
     def dfs(idx: int, used: int, cnt: int) -> bool:
         if cnt == size:
             return True
         if len(ms) - idx < size - cnt:
+            return False
+        if (union & ~used).bit_count() < (size - cnt) * smallest:
             return False
         for i in range(idx, len(ms)):
             if not ms[i] & used:
@@ -141,6 +153,28 @@ def has_matching_of_size(masks, size: int) -> bool:
         return False
 
     return dfs(0, 0, 0)
+
+
+def max_edges_without_matching(n: int, s: int) -> int:
+    """Most edges of K_n with no s pairwise disjoint edges, found exactly.
+
+    An edge set has no s-matching iff its complement meets every s-matching,
+    so the answer is C(n, 2) minus the covering number of the family of
+    s-matchings, each viewed as a set of edge positions.
+    """
+    if n < 2 or s < 1:
+        raise DomainError(f"need n >= 2 and s >= 1, got n={n} s={s}")
+    edges = full_layer(GroundSet(n), 2).members
+    matchings = []
+    for combo in combinations(range(len(edges)), s):
+        vertices = 0
+        for i in combo:
+            vertices |= edges[i]
+        if vertices.bit_count() == 2 * s:  # the s edges are pairwise disjoint
+            matchings.append(mask_of(i + 1 for i in combo))
+    if not matchings:
+        return len(edges)
+    return len(edges) - covering_number(Family.from_masks(matchings, GroundSet(len(edges))))
 
 
 def minimal_sets(f: Family) -> Family:

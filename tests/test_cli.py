@@ -111,6 +111,15 @@ def test_branch_command(capsys, tmp_path):
     assert data["result"]["coverage_ok"] is True
 
 
+def test_branch_malformed_input_exit_2(capsys, tmp_path):
+    path = tmp_path / "basis.fam"
+    path.write_text("n=6 k=*\n1,x\n")
+    code, _, err = run_cli(capsys, "branch", "--name", "t", "--input",
+                           str(path), "--t", "1", "--k", "3", "--r", "2")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_branch_t_command(capsys, tmp_path):
     path = tmp_path / "basis.fam"
     path.write_text("n=6 k=*\n1,2\n1,3\n2,3\n")

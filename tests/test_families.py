@@ -263,6 +263,18 @@ def test_text_format_errors():
         family_from_text("n=4 k=*\n1,2\nn=4 k=*\n1\n")
 
 
+@pytest.mark.parametrize("line,reason", [
+    ("1,x", "neither"), ("hex:zz", "neither"), ("1,,2", "neither"),
+    ("0,1", "outside"), ("-1,2", "outside"), ("2,5", "outside"), ("hex:10", "outside"),
+    ("1,99999999999999999999", "outside"), ("1,3000000000", "outside"),
+])
+def test_text_format_rejects_malformed_member_lines(line, reason):
+    # non-integer tokens and elements outside 1..n are domain errors, not
+    # raw ValueErrors or negative shifts
+    with pytest.raises(DomainError, match=reason):
+        families_from_text(f"n=4 k=*\n{line}\n")
+
+
 @settings(max_examples=100, deadline=None)
 @given(random_family())
 def test_text_roundtrip_random(f):

@@ -133,6 +133,39 @@ def test_inequalities_hold_on_random_valid_tuples(n, k, l, t, p):
         assert check_inequality("ineq_1_10", l=l, t=t)
 
 
+def test_inequality_domain_messages():
+    with pytest.raises(DomainError,
+                       match=r"^need positive n,k,p with n > 2k\+p; got n=10 k=4 p=2$"):
+        check_inequality("ineq_1_7", n=10, k=4, p=2)
+    with pytest.raises(DomainError, match=r"^need t >= 1, l >= t\+1; got l=1 t=1$"):
+        check_inequality("ineq_1_10", l=1, t=1)
+    with pytest.raises(DomainError, match="missing parameter 'p'"):
+        check_inequality("ineq_1_8", n=20, k=4, l=2, t=1)
+    with pytest.raises(DomainError, match="must be an integer"):
+        check_inequality("ineq_1_9", n=20, k=4, l=2, t=True)
+    with pytest.raises(DomainError, match="unknown inequality id"):
+        check_inequality("ineq_9_9", n=20)
+
+
+def test_grid_checked_counts_pinned():
+    rep = inequality_grid(200, 20)
+    assert rep["all_passed"] and rep["mode"] == "reduced"
+    assert rep["checked"] == {"ineq_1_7": 319950, "ineq_1_8": 329574,
+                              "ineq_1_9": 34770, "ineq_1_10": 171}
+    assert rep["total_checked"] == 684465
+
+
+def test_grid_asserts_domain_per_tuple(monkeypatch):
+    # a sweep that generated an inadmissible tuple must raise, not pass
+    from crossfam import formulas
+
+    names, _, statement, kernel = formulas._INEQUALITIES["ineq_1_10"]
+    monkeypatch.setitem(formulas._INEQUALITIES, "ineq_1_10",
+                        (names, lambda l, t: l < 5, statement, kernel))
+    with pytest.raises(DomainError, match=r"got l=5 t=1$"):
+        inequality_grid(36, 12)
+
+
 def test_grid_reduced_matches_raw_small():
     raw = inequality_grid(36, 12, mode="raw")
     red = inequality_grid(36, 12, mode="reduced")

@@ -24,7 +24,9 @@ from crossfam.search import (
     maximal_t_intersecting_families,
     maximize,
     randomized_check,
+    realized_corank1_layer,
     remap_mask,
+    sample_saturated_pair_bits,
 )
 from crossfam.transversals import layer_context
 
@@ -167,6 +169,11 @@ def test_canonical_key_basics():
         tri2.members, 5)
     assert are_isomorphic(tri1, tri2)
     assert not are_isomorphic(tri1, fam([(1, 2), (1, 3), (1, 4)], 5))
+    # no silent fallback to the unlabelled key beyond n = 8
+    with pytest.raises(DomainError):
+        canonical_family_key(fam([(1, 2)], 9).members, 9)
+    with pytest.raises(DomainError):
+        are_isomorphic(fam([(1, 2)], 9), fam([(8, 9)], 9))
 
 
 def test_witness_monotone_partner():
@@ -223,3 +230,18 @@ def test_search_result_json():
     assert data["value"] == "3"
     assert data["exhaustive"] is True
     assert data["witness"] == [[1, 2], [1, 3], [2, 3]]
+
+
+@pytest.mark.parametrize("k,n", [(2, 8), (3, 10), (4, 9)])
+def test_realized_corank1_layer_matches_definition(k, n):
+    ctx = layer_context(n, k)
+    for i in range(60):
+        rng = random.Random(f"corank1:{n}:{k}:{i}")
+        fb, gb = sample_saturated_pair_bits(ctx, rng)
+        f = [m for j, m in enumerate(ctx.masks) if fb >> j & 1]
+        g = [m for j, m in enumerate(ctx.masks) if gb >> j & 1]
+        want = {a & b for a in f for b in g
+                if a != b and (a & b).bit_count() == k - 1}
+        got = realized_corank1_layer(ctx, fb, gb)
+        assert len(got) == len(want)
+        assert set(got) == want

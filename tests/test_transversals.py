@@ -1,4 +1,7 @@
 import json
+import random
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,9 @@ from crossfam.transversals import (
     basis_pair,
     basis_t,
     covering_number,
+    has_matching_of_size,
     matching_number,
+    max_edges_without_matching,
     minimal_sets,
     partition_by_basis,
     saturate_pair,
@@ -273,3 +278,50 @@ def test_saturated_pair_basis_recomposition(seed):
     assert upward_closure(b_g, k) == g
     assert is_cross_intersecting(b_f, b_g)
     assert min(m.bit_count() for m in b_g.members) == covering_number(f)
+
+
+def _brute_has_matching(masks, size):
+    return any(all(not a & b for a, b in combinations(combo, 2))
+               for combo in combinations(masks, size))
+
+
+def test_has_matching_of_size_agrees_with_brute_force():
+    # seeded inputs with empty members, duplicates and size 0 all occur
+    rng = random.Random(20_000)
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        width = rng.randint(0, n)
+        masks = [sum(1 << e for e in rng.sample(range(n), rng.randint(0, width)))
+                 for _ in range(rng.randint(0, 9))]
+        if masks and rng.random() < 0.3:
+            masks.append(rng.choice(masks))
+        size = rng.randint(0, 5)
+        assert has_matching_of_size(masks, size) == _brute_has_matching(masks, size), (
+            masks, size)
+
+
+def test_has_matching_of_size_counting_prune_cases():
+    layer = full_layer(GroundSet(10), 3).members
+    assert has_matching_of_size(layer, 3)
+    assert not has_matching_of_size(layer, 4)  # 4 * 3 > 10
+    assert has_matching_of_size([0, 0, 0], 3)  # the empty set is disjoint from itself
+    assert has_matching_of_size([], 0)
+    assert not has_matching_of_size([0b11, 0b11], 2)
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_max_edges_without_matching_erdos_gallai(s):
+    for n in range(2 * s - 1, 8):
+        want = max(comb(2 * s - 1, 2), comb(s - 1, 2) + (s - 1) * (n - s + 1))
+        assert max_edges_without_matching(n, s) == want
+
+
+def test_max_edges_without_matching_brute_force():
+    for n in range(2, 6):
+        edges = full_layer(GroundSet(n), 2).members
+        for s in (1, 2, 3):
+            want = max(bin(bits).count("1")
+                       for bits in range(1 << len(edges))
+                       if not _brute_has_matching(
+                           [e for i, e in enumerate(edges) if bits >> i & 1], s))
+            assert max_edges_without_matching(n, s) == want
