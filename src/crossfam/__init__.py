@@ -4,6 +4,7 @@ from .families import (
     DomainError,
     Family,
     GroundSet,
+    NodeLimitExceeded,
     Subset,
     VerificationError,
     distinct_intersections,

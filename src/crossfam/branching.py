@@ -1,11 +1,21 @@
 """Executable weighted branching processes over bases, with exact rationals.
 
-Both processes replace a live sequence by one child per element of a chosen
-basis set, dividing its weight evenly, so the total live weight is exactly 1
-at every stage; this is checked as rational equality after every round.
-A sequence survives once its underlying set can no longer be extended (it
-meets every basis set in the cross version, or meets every basis set in at
-least t elements in the t version).
+The t-process replaces a live sequence S by one child per element of B - S
+for a chosen basis set B with |B & S| < t, dividing its weight evenly, so
+the total live weight is exactly 1 at every stage; this is checked as
+rational equality after every round.  A sequence survives once every basis
+set meets it in at least t elements.  The cross process is the t-process at
+t = 1 driven by B1 (seeds weigh 1/s, B is disjoint from S), with coverage
+and level weights read from B2; both run the one frontier in ``_grow``.
+
+Each live sequence carries the list its pool is filtered from: its parent's
+pool {m : |m & S| < t}.  Filtering that list by the child's set is exact,
+since |m & S| only grows with S, and keeps the basis order.  Conservation
+sums group equal weights (an exact Fraction times its count), and retired
+survivors enter a running total once.  The hypothesis tau_t(F) >= t+1 needs
+no search: a set of at most t elements meets every member in t elements
+only if it is a t-set inside all of them, so for members of size >= t it
+holds iff fewer than t elements lie in every member.
 
 The selection rule is deterministic by default (smallest cardinality, then
 smallest mask, among the qualifying sets); pass a seeded ``random.Random``
@@ -16,15 +26,19 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
 from math import comb
+from operator import and_
 
 from .constructions import window_family
 from .families import (
     DomainError,
     Family,
+    NodeLimitExceeded,
     VerificationError,
     elements_of,
     is_antichain,
@@ -32,7 +46,7 @@ from .families import (
     is_t_intersecting,
     mask_of,
 )
-from .transversals import covering_number, upward_closure
+from .transversals import upward_closure
 
 
 @dataclass(frozen=True)
@@ -60,12 +74,15 @@ class BranchReport:
         def frac(x: Fraction) -> str:
             return f"{x.numerator}/{x.denominator}"
 
+        # few distinct sets are chosen; survivors share their element lists
+        sets = {m: list(elements_of(m))
+                for m in {m for s in self.survivors for m in s.chosen_sets}}
         return {
             "survivors": [
                 {
                     "elements": list(s.elements),
                     "weight": frac(s.weight),
-                    "chosen_sets": [list(elements_of(m)) for m in s.chosen_sets],
+                    "chosen_sets": [sets[m] for m in s.chosen_sets],
                 }
                 for s in self.survivors
             ],
@@ -87,21 +104,85 @@ def _choose(pool: list[int], rng: random.Random | None) -> int:
     return rng.choice(sorted(pool))
 
 
+def _tau_t_exceeds_t(members, t: int) -> bool:
+    """tau_t >= t+1 for nonempty members of size >= t: fewer than t common elements."""
+    return reduce(and_, members).bit_count() < t
+
+
+def _weight_sum(weights) -> Fraction:
+    """Exact sum of Fractions, each distinct value added once times its count."""
+    counts = Counter((w.numerator, w.denominator) for w in weights)
+    return sum((Fraction(p * c, q) for (p, q), c in counts.items()), Fraction(0))
+
+
 def smallest_branching_level(b: Family, t: int = 1) -> int | None:
     """Smallest level a with tau_t of the <=a part >= t+1, if any."""
     sizes = sorted({m.bit_count() for m in b.members})
     if not sizes:
         return None
-    for a in range(sizes[0], sizes[-1] + 1):
-        sub = Family.from_masks((m for m in b.members if m.bit_count() <= a), b.ground)
-        if sub.members and covering_number(sub, t) >= t + 1:
+    if t < 1:
+        raise DomainError(f"t must be >= 1, got {t}")
+    if sizes[0] < t:
+        raise DomainError(f"some member has fewer than t={t} elements; no t-transversal exists")
+    for a in sizes:
+        if _tau_t_exceeds_t((m for m in b.members if m.bit_count() <= a), t):
             return a
     return None
 
 
-def _finish_report(survivors, b_levels, k, r, level_weight_floor, lam,
-                   strict) -> BranchReport:
-    total = sum((s.weight for s in survivors), Fraction(0))
+def _grow(low: list[int], members: tuple[int, ...], seed: int, t: int,
+          rng: random.Random | None, max_nodes: int) -> list[BranchSequence]:
+    """Run the t-process from the t-subsets of seed; return its survivors.
+
+    The first extension draws from low, every later one from members.
+    """
+    weight = Fraction(1, comb(seed.bit_count(), t))
+    # a live sequence: elements, weight, chosen sets, set mask S, and the
+    # list its pool {m : |m & S| < t} is filtered from (its parent's pool)
+    frontier = [(combo, weight, (seed,), mask_of(combo), low)
+                for combo in combinations(elements_of(seed), t)]
+    survivors: list[BranchSequence] = []
+    retired = Fraction(0)
+    nodes = 0
+    first = True
+    while True:
+        total = _weight_sum(seq[1] for seq in frontier) + retired
+        if total != 1:
+            raise VerificationError(f"live weight is {total} mid-run, expected exactly 1")
+        if not frontier:
+            return survivors
+        nxt = []
+        done = []
+        for elements, weight, chosen_sets, smask, pool in frontier:
+            pool = [m for m in pool if (m & smask).bit_count() < t]
+            if not pool:
+                done.append(BranchSequence(elements, weight, chosen_sets))
+                continue
+            chosen = _choose(pool, rng)
+            free = chosen & ~smask
+            nodes += free.bit_count()
+            if nodes > max_nodes:
+                raise NodeLimitExceeded(f"branching exceeded {max_nodes} nodes")
+            share = weight / free.bit_count()
+            chosen_sets += (chosen,)
+            inherited = members if first else pool
+            for y in elements_of(free):
+                nxt.append((elements + (y,), share, chosen_sets, smask | 1 << (y - 1),
+                            inherited))
+        retired += _weight_sum(s.weight for s in done)
+        survivors += done
+        frontier = nxt
+        first = False
+
+
+def _finish_report(survivors, cover: Family, t: int, k: int, r: int,
+                   strict: bool) -> BranchReport:
+    """Check the survivors against the levels l >= r of cover.
+
+    Level l weighs 1/(C(l, t) l k^(l-t-1)): the floor of a level-l survivor,
+    and each level-l member's share of the inequality's left-hand side.
+    """
+    total = _weight_sum(s.weight for s in survivors)
     level_counts: dict[int, int] = {}
     for s in survivors:
         level_counts[len(s.elements)] = level_counts.get(len(s.elements), 0) + 1
@@ -109,23 +190,23 @@ def _finish_report(survivors, b_levels, k, r, level_weight_floor, lam,
     if total != 1:
         raise VerificationError(f"total survivor weight is {total}, expected exactly 1")
 
-    survivor_sets = {}
-    for s in survivors:
-        survivor_sets.setdefault(mask_of(s.elements), []).append(s)
-    coverage_ok = True
-    for level, masks in b_levels.items():
-        if level < r:
-            continue
-        for m in masks:
-            if not any(len(s.elements) == level for s in survivor_sets.get(m, [])):
-                coverage_ok = False
+    def level_weight(l: int) -> Fraction:
+        return Fraction(1, comb(l, t) * l * k ** (l - t - 1))
 
-    weight_bound_ok = True
-    for s in survivors:
-        l = len(s.elements)
-        if l >= r and s.weight < level_weight_floor(l):
-            weight_bound_ok = False
+    cover_levels: dict[int, list[int]] = {}
+    for m in cover.members:
+        cover_levels.setdefault(m.bit_count(), []).append(m)
+    covered = {(mask_of(s.elements), len(s.elements)) for s in survivors}
+    coverage_ok = all((m, level) in covered
+                      for level, masks in cover_levels.items() if level >= r
+                      for m in masks)
 
+    floors = {l: level_weight(l) for l in level_counts if l >= r}
+    weight_bound_ok = all(s.weight >= floors[len(s.elements)]
+                          for s in survivors if len(s.elements) >= r)
+
+    lam = {level: len(masks) * level_weight(level)
+           for level, masks in sorted(cover_levels.items()) if r <= level <= k}
     lhs = sum(lam.values(), Fraction(0))
     report = BranchReport(survivors, total, level_counts, lam, coverage_ok,
                           weight_bound_ok, lhs)
@@ -146,9 +227,12 @@ def run_branching_cross(b1: Family, b2: Family, k: int, r: int,
 
     Requires b1, b2 to be cross-intersecting antichains of sets of size
     <= k with min-size of b1 at least 2 and tau of the <=r part of b1 at
-    least 2.  Survivor sets of each level l >= r must include every level-l
-    member of b2, each survivor at level l >= r has weight at least
-    1/(l^2 k^(l-2)), and the normalised level counts of b2 sum to at most 1.
+    least 2.  This is the t-process at t = 1 on b1: seeds weigh 1/s and
+    every extension is by a member disjoint from the sequence.  Survivor
+    sets of each level l >= r must include every level-l member of b2,
+    each survivor at level l >= r has weight at least 1/(l^2 k^(l-2)), and
+    the normalised level counts of b2 sum to at most 1.  Raises
+    NodeLimitExceeded past max_nodes sequences.
     """
     if not b1.members or not b2.members:
         raise DomainError("branching needs nonempty bases")
@@ -161,72 +245,13 @@ def run_branching_cross(b1: Family, b2: Family, k: int, r: int,
         raise DomainError(f"hypothesis s(B1) >= 2 violated (s = {s})")
     if not is_cross_intersecting(b1, b2):
         raise DomainError("bases must be cross-intersecting")
-    low = Family.from_masks((m for m in b1.members if m.bit_count() <= r), b1.ground)
-    if not low.members or covering_number(low) < 2:
+    low = [m for m in b1.members if m.bit_count() <= r]
+    if not low or not _tau_t_exceeds_t(low, 1):
         raise DomainError(f"hypothesis tau(B1 restricted to sizes <= {r}) >= 2 violated")
 
-    nodes = 0
-
-    def extend(seq, pool):
-        nonlocal nodes
-        chosen = _choose(pool, rng)
-        share = seq[1] / chosen.bit_count()
-        out = []
-        for y in elements_of(chosen):
-            out.append((seq[0] + (y,), share, seq[2] + (chosen,)))
-        nodes += len(out)
-        if nodes > max_nodes:
-            raise RuntimeError(f"branching exceeded {max_nodes} nodes")
-        return out
-
-    def check_total(frontier, survivors) -> None:
-        total = sum((w for _, w, _ in frontier), Fraction(0))
-        total += sum((s.weight for s in survivors), Fraction(0))
-        if total != 1:
-            raise VerificationError(f"live weight is {total} mid-run, expected exactly 1")
-
-    # stage 1: split on a minimum-size member of b1
-    seed_pool = [m for m in b1.members if m.bit_count() == s]
-    seed = _choose(seed_pool, rng)
-    frontier = [((y,), Fraction(1, s), (seed,)) for y in elements_of(seed)]
-    survivors: list[BranchSequence] = []
-    check_total(frontier, survivors)
-
-    # stage 2: extend every length-1 sequence with a disjoint set from the <=r part
-    nxt = []
-    for seq in frontier:
-        smask = mask_of(seq[0])
-        pool = [m for m in low.members if not m & smask]
-        nxt.extend(extend(seq, pool))
-    frontier = nxt
-    check_total(frontier, survivors)
-
-    # later stages: extend with any disjoint member of b1
-    while frontier:
-        nxt = []
-        for seq in frontier:
-            smask = mask_of(seq[0])
-            pool = [m for m in b1.members if not m & smask]
-            if not pool:
-                survivors.append(BranchSequence(seq[0], seq[1], seq[2]))
-            else:
-                nxt.extend(extend(seq, pool))
-        frontier = nxt
-        check_total(frontier, survivors)
-
-    b2_levels: dict[int, list[int]] = {}
-    for m in b2.members:
-        b2_levels.setdefault(m.bit_count(), []).append(m)
-    lam = {
-        level: Fraction(len(masks), level * level * k ** (level - 2))
-        for level, masks in sorted(b2_levels.items())
-        if r <= level <= k
-    }
-    return _finish_report(
-        survivors, b2_levels, k, r,
-        lambda l: Fraction(1, l * l * k ** (l - 2)),
-        lam, strict,
-    )
+    seed = _choose([m for m in b1.members if m.bit_count() == s], rng)
+    survivors = _grow(low, b1.members, seed, 1, rng, max_nodes)
+    return _finish_report(survivors, b2, 1, k, r, strict)
 
 
 def run_branching_t(b: Family, t: int, k: int, r: int,
@@ -237,7 +262,8 @@ def run_branching_t(b: Family, t: int, k: int, r: int,
     Requires b to be a t-intersecting antichain of sets of size <= k with
     min-size at least t+1 and tau_t of the <=r part at least t+1.  The
     first stage splits on every t-subset of a minimum-size member with
-    weight 1/C(s, t); extension steps divide by |B - S|.
+    weight 1/C(s, t); extension steps divide by |B - S|.  Raises
+    NodeLimitExceeded past max_nodes sequences.
     """
     if t < 1:
         raise DomainError(f"t must be >= 1, got {t}")
@@ -252,75 +278,13 @@ def run_branching_t(b: Family, t: int, k: int, r: int,
         raise DomainError(f"hypothesis s(B) >= t+1 violated (s = {s})")
     if not is_t_intersecting(b, t):
         raise DomainError("basis must be t-intersecting")
-    low = Family.from_masks((m for m in b.members if m.bit_count() <= r), b.ground)
-    if not low.members or covering_number(low, t) < t + 1:
+    low = [m for m in b.members if m.bit_count() <= r]
+    if not low or not _tau_t_exceeds_t(low, t):
         raise DomainError(f"hypothesis tau_t(B restricted to sizes <= {r}) >= t+1 violated")
 
-    nodes = 0
-
-    def extend(seq, pool):
-        nonlocal nodes
-        smask = mask_of(seq[0])
-        chosen = _choose(pool, rng)
-        free = chosen & ~smask
-        share = seq[1] / free.bit_count()
-        out = []
-        for y in elements_of(free):
-            out.append((seq[0] + (y,), share, seq[2] + (chosen,)))
-        nodes += len(out)
-        if nodes > max_nodes:
-            raise RuntimeError(f"branching exceeded {max_nodes} nodes")
-        return out
-
-    def check_total(frontier, survivors) -> None:
-        total = sum((w for _, w, _ in frontier), Fraction(0))
-        total += sum((x.weight for x in survivors), Fraction(0))
-        if total != 1:
-            raise VerificationError(f"live weight is {total} mid-run, expected exactly 1")
-
-    seed_pool = [m for m in b.members if m.bit_count() == s]
-    seed = _choose(seed_pool, rng)
-    frontier = [
-        (combo, Fraction(1, comb(s, t)), (seed,))
-        for combo in combinations(elements_of(seed), t)
-    ]
-    survivors: list[BranchSequence] = []
-    check_total(frontier, survivors)
-
-    # stage 2: every t-sequence is extended from the <=r part
-    nxt = []
-    for seq in frontier:
-        smask = mask_of(seq[0])
-        pool = [m for m in low.members if (m & smask).bit_count() < t]
-        nxt.extend(extend(seq, pool))
-    frontier = nxt
-    check_total(frontier, survivors)
-
-    while frontier:
-        nxt = []
-        for seq in frontier:
-            smask = mask_of(seq[0])
-            pool = [m for m in b.members if (m & smask).bit_count() < t]
-            if not pool:
-                survivors.append(BranchSequence(seq[0], seq[1], seq[2]))
-            else:
-                nxt.extend(extend(seq, pool))
-        frontier = nxt
-        check_total(frontier, survivors)
-
-    b_levels: dict[int, list[int]] = {}
-    for m in b.members:
-        b_levels.setdefault(m.bit_count(), []).append(m)
-    lam = {
-        level: Fraction(len(masks), comb(level, t) * level * k ** (level - t - 1))
-        for level, masks in sorted(b_levels.items())
-        if r <= level <= k
-    }
-    return _finish_report(
-        survivors, b_levels, k, r,
-        lambda l: Fraction(1, comb(l, t) * l * k ** (l - t - 1)),
-        lam, strict,
-    )
+    seed = _choose([m for m in b.members if m.bit_count() == s], rng)
+    survivors = _grow(low, b.members, seed, t, rng, max_nodes)
+    return _finish_report(survivors, b, t, k, r, strict)
 
 
 def verify_window_closure(b: Family, t: int, n: int, k: int) -> bool:
@@ -339,7 +303,7 @@ def verify_window_closure(b: Family, t: int, n: int, k: int) -> bool:
         raise DomainError("basis must be (t+1)-uniform")
     if not is_t_intersecting(b, t):
         raise DomainError("basis must be t-intersecting")
-    if covering_number(b, t) < t + 1:
+    if not _tau_t_exceeds_t(b.members, t):
         raise DomainError(f"hypothesis tau_t(B) >= t+1 violated")
 
     support = elements_of(b.support())

@@ -2,7 +2,8 @@
 
 Every report embeds the command, parameter set, seed, and tool version;
 identical invocations produce byte-identical output except the timestamp
-field.  Exit codes: 0 success, 1 a verification failed, 2 bad configuration.
+field.  Exit codes: 0 success, 1 a verification failed, 2 bad configuration,
+3 a node limit was hit before a verdict.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import time
 from . import __version__, acceptance
 from .branching import run_branching_cross, run_branching_t
 from .constructions import CONSTRUCTION_NAMES, construct, verify_construction
-from .families import DomainError, families_from_text, families_to_text, family_to_text
+from .families import (DomainError, NodeLimitExceeded, VerificationError, families_from_text,
+                       families_to_text, family_to_text)
 from .formulas import FORMULA_IDS, eval_formula, inequality_grid
 from .search import OBJECTIVES, SearchProblem, maximize
 import random
@@ -286,6 +288,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NodeLimitExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

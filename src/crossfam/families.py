@@ -34,6 +34,10 @@ class VerificationError(RuntimeError):
     """A property that should hold by theorem failed at runtime."""
 
 
+class NodeLimitExceeded(RuntimeError):
+    """A computation stopped at its node limit before reaching a verdict."""
+
+
 def mask_of(elements: Iterable[int]) -> int:
     """Bitmask of a collection of 1-based elements."""
     m = 0

@@ -78,3 +78,90 @@ def transversals_upto(f, t, max_size, n):
             if all(len(cs & s) >= t for s in f):
                 out.append(cs)
     return out
+
+
+def _mask(s):
+    return sum(1 << (e - 1) for e in s)
+
+
+def _frac(x):
+    return f"{x.numerator}/{x.denominator}"
+
+
+def branching_oracle(members, cover, t, k, r, rng=None, cross=False):
+    """The branching process as first written, as its report's JSON dict.
+
+    members and cover are lists of frozensets.  Every round recomputes each
+    pool from the whole basis and sums the live weight as a plain sum of
+    Fractions.  cross=True is the cross process driven by members: seeds
+    weigh 1/s, pools hold the members disjoint from the sequence, and a
+    split divides by |B|; otherwise the t-process: seeds are the t-subsets
+    of the seed with weight 1/C(s, t), pools hold the members meeting the
+    sequence in fewer than t elements, and a split divides by |B - S|.
+    """
+    from fractions import Fraction
+    from math import comb
+
+    def choose(pool):
+        if rng is None:
+            return min(pool, key=lambda m: (len(m), _mask(m)))
+        return rng.choice(sorted(pool, key=_mask))
+
+    def qualifies(m, seq):
+        return not m & set(seq) if cross else len(m & set(seq)) < t
+
+    def check(frontier, survivors):
+        total = sum(w for _, w, _ in frontier) + sum(w for _, w, _ in survivors)
+        assert total == 1, total
+
+    s = min(len(m) for m in members)
+    seed = choose([m for m in members if len(m) == s])
+    if cross:
+        frontier = [((y,), Fraction(1, s), (seed,)) for y in sorted(seed)]
+    else:
+        frontier = [(c, Fraction(1, comb(s, t)), (seed,))
+                    for c in combinations(sorted(seed), t)]
+    survivors = []
+    check(frontier, survivors)
+    low = [m for m in members if len(m) <= r]
+    stage = 2
+    while frontier:
+        nxt = []
+        for seq, w, chosen_sets in frontier:
+            pool = [m for m in (low if stage == 2 else members) if qualifies(m, seq)]
+            if not pool:
+                survivors.append((seq, w, chosen_sets))
+                continue
+            chosen = choose(pool)
+            free = sorted(chosen - set(seq))
+            for y in free:
+                nxt.append((seq + (y,), w / len(free), chosen_sets + (chosen,)))
+        frontier = nxt
+        stage += 1
+        check(frontier, survivors)
+
+    def floor_denominator(l):
+        return l * l * k ** (l - 2) if cross else comb(l, t) * l * k ** (l - t - 1)
+
+    level_counts = {}
+    for seq, _, _ in survivors:
+        level_counts[len(seq)] = level_counts.get(len(seq), 0) + 1
+    survivor_sets = {(frozenset(seq), len(seq)) for seq, _, _ in survivors}
+    lam = {}
+    for m in cover:
+        if r <= len(m) <= k:
+            lam[len(m)] = lam.get(len(m), 0) + Fraction(1, floor_denominator(len(m)))
+    return {
+        "survivors": [
+            {"elements": list(seq), "weight": _frac(w),
+             "chosen_sets": [sorted(c) for c in chosen_sets]}
+            for seq, w, chosen_sets in survivors
+        ],
+        "total_weight": _frac(sum(w for _, w, _ in survivors)),
+        "level_counts": {str(l): c for l, c in level_counts.items()},
+        "lambda": {str(l): _frac(v) for l, v in lam.items()},
+        "coverage_ok": all((m, len(m)) in survivor_sets for m in cover if len(m) >= r),
+        "weight_bound_ok": all(w >= Fraction(1, floor_denominator(len(seq)))
+                               for seq, w, _ in survivors if len(seq) >= r),
+        "inequality_lhs": _frac(sum(lam.values(), Fraction(0))),
+    }

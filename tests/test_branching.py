@@ -1,10 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from crossfam.families import DomainError, Family, GroundSet
+from crossfam.families import DomainError, Family, GroundSet, NodeLimitExceeded, elements_of
 from crossfam.branching import (
     run_branching_cross,
     run_branching_t,
@@ -14,6 +15,7 @@ from crossfam.branching import (
 from crossfam.constructions import four_star_pair
 from crossfam.search import sample_saturated_pair, sample_saturated_t_family
 from crossfam.transversals import basis_pair, basis_t
+import oracle_utils as oracle
 
 
 def fam(sets, n):
@@ -128,10 +130,11 @@ def test_report_json_rationals():
     assert all("/" in s["weight"] for s in data["survivors"])
 
 
-def test_random_generated_bases_conserve_weight():
-    runs = 0
+def _sampled_cross_bases(count=10):
+    """(b1, b2, r) for the first admissible seeded saturated pairs at (7, 2)."""
+    out = []
     i = 0
-    while runs < 10 and i < 400:
+    while len(out) < count and i < 400:
         rng = random.Random(f"gen:{i}")
         i += 1
         f, g = sample_saturated_pair(7, 2, rng)
@@ -142,18 +145,16 @@ def test_random_generated_bases_conserve_weight():
         if min(m.bit_count() for m in b1.members) < 2:
             continue
         r = smallest_branching_level(b1)
-        if r is None:
-            continue
-        rep = run_branching_cross(b1, b2, k=2, r=r)
-        assert rep.total_weight == 1 and rep.coverage_ok
-        runs += 1
-    assert runs == 10
+        if r is not None:
+            out.append((b1, b2, r))
+    return out
 
 
-def test_random_generated_t_bases_conserve_weight():
-    runs = 0
+def _sampled_t_bases(count=10):
+    """(b, r) for the first admissible seeded saturated t = 1 bases at (8, 3)."""
+    out = []
     i = 0
-    while runs < 10 and i < 400:
+    while len(out) < count and i < 400:
         rng = random.Random(f"gen-t:{i}")
         i += 1
         famly = sample_saturated_t_family(8, 3, 1, rng)
@@ -161,12 +162,77 @@ def test_random_generated_t_bases_conserve_weight():
         if min(m.bit_count() for m in b.members) < 2:
             continue
         r = smallest_branching_level(b, 1)
-        if r is None:
-            continue
+        if r is not None:
+            out.append((b, r))
+    return out
+
+
+def test_random_generated_bases_conserve_weight():
+    bases = _sampled_cross_bases()
+    assert len(bases) == 10
+    for b1, b2, r in bases:
+        rep = run_branching_cross(b1, b2, k=2, r=r)
+        assert rep.total_weight == 1 and rep.coverage_ok
+
+
+def test_random_generated_t_bases_conserve_weight():
+    bases = _sampled_t_bases()
+    assert len(bases) == 10
+    for b, r in bases:
         rep = run_branching_t(b, t=1, k=3, r=r)
         assert rep.total_weight == 1 and rep.coverage_ok
-        runs += 1
-    assert runs == 10
+
+
+def _sets(f):
+    return [frozenset(elements_of(m)) for m in f.members]
+
+
+def _layer(n, k):
+    return fam(list(combinations(range(1, n + 1), k)), n)
+
+
+def _differential_cases():
+    """(name, kind, driver, cover, t, k, r): sampled bases and full layers."""
+    cases = [(f"cross{i}", "cross", b1, b2, 1, 2, r)
+             for i, (b1, b2, r) in enumerate(_sampled_cross_bases())]
+    cases += [(f"t{i}", "t", b, b, 1, 3, r) for i, (b, r) in enumerate(_sampled_t_bases())]
+    a1, a2 = four_star_pair(8, 3)
+    b1, b2 = basis_pair(a1, a2)
+    simplex = fam([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)], 8)
+    cases += [
+        ("four_star", "cross", b1, b2, 1, 3, 2),
+        ("cycle", "cross", CYCLE, MATCHING, 1, 3, 2),
+        ("simplex", "t", simplex, simplex, 2, 3, 3),
+        ("layer_cross_7_4", "cross", _layer(7, 4), _layer(7, 4), 1, 4, 4),
+        ("layer_t_6_4_2", "t", _layer(6, 4), _layer(6, 4), 2, 4, 4),
+        ("layer_t_7_4_1", "t", _layer(7, 4), _layer(7, 4), 1, 4, 4),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("rule", ["det", "random"])
+def test_frontier_matches_oracle(rule):
+    # inherited pools and grouped sums against pools recomputed every round
+    for name, kind, driver, cover, t, k, r in _differential_cases():
+        rng = random.Random(f"oracle:{name}") if rule == "random" else None
+        oracle_rng = random.Random(f"oracle:{name}") if rule == "random" else None
+        if kind == "cross":
+            rep = run_branching_cross(driver, cover, k=k, r=r, rng=rng)
+        else:
+            rep = run_branching_t(driver, t=t, k=k, r=r, rng=rng)
+        want = oracle.branching_oracle(_sets(driver), _sets(cover), t, k, r, oracle_rng,
+                                       cross=kind == "cross")
+        assert rep.to_json() == json.dumps(want, sort_keys=True), name
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_branching_cross(_layer(7, 4), _layer(7, 4), k=4, r=4, max_nodes=5),
+    lambda: run_branching_t(_layer(6, 4), t=2, k=4, r=4, max_nodes=5),
+])
+def test_node_limit_raises_typed_error(run):
+    with pytest.raises(NodeLimitExceeded, match="exceeded 5 nodes"):
+        run()
+    assert issubclass(NodeLimitExceeded, RuntimeError)
 
 
 def test_verify_window_closure_true_cases():
@@ -196,3 +262,34 @@ def test_smallest_branching_level():
     assert smallest_branching_level(fam([(1, 2), (1, 3)], 6)) is None
     b = fam([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)], 8)
     assert smallest_branching_level(b, 2) == 3
+
+
+def test_hypothesis_check_matches_cover_oracle():
+    # tau_t >= t+1 iff fewer than t elements lie in every member; checked
+    # through the smallest level at which it holds
+    seen = {"empty core": 0, "core >= t": 0, "level found": 0, "none": 0}
+    for i in range(300):
+        rng = random.Random(f"core:{i}")
+        t = rng.choice((1, 2, 3))
+        n = 7
+        core = set(rng.sample(range(1, n + 1), rng.choice((0, t - 1, t, t + 1))))
+        sets = []
+        for _ in range(rng.randint(1, 5)):
+            size = rng.randint(max(t, len(core)), min(n, t + 3))
+            rest = rng.sample(sorted(set(range(1, n + 1)) - core), size - len(core))
+            sets.append(frozenset(core | set(rest)))
+        common = frozenset.intersection(*sets)
+        seen["empty core"] += not common
+        seen["core >= t"] += len(common) >= t
+        want = next((a for a in sorted({len(x) for x in sets})
+                     if oracle.min_cover_size([x for x in sets if len(x) <= a], t) >= t + 1), None)
+        seen["level found" if want is not None else "none"] += 1
+        assert smallest_branching_level(fam(sets, n), t) == want, (sets, t)
+    assert all(seen.values()), seen
+
+
+def test_smallest_branching_level_small_member_raises():
+    with pytest.raises(DomainError, match="fewer than t=2"):
+        smallest_branching_level(fam([(1,), (2, 3)], 6), 2)
+    with pytest.raises(DomainError, match="t must be >= 1"):
+        smallest_branching_level(fam([(1, 2)], 6), 0)

@@ -1,8 +1,12 @@
 import json
 import re
 
+import pytest
+
+from crossfam import cli
 from crossfam.cli import main
-from crossfam.families import families_from_text, family_from_text
+from crossfam.families import (NodeLimitExceeded, VerificationError, families_from_text,
+                               family_from_text)
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +132,25 @@ def test_branch_t_command(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["result"]["lambda"]["2"] == "3/4"
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (NodeLimitExceeded("branching exceeded 5 nodes"), 3, "error: "),
+    (VerificationError("live weight is 2 mid-run, expected exactly 1"), 1,
+     "verification failed: "),
+])
+def test_branch_failure_exit_codes(capsys, tmp_path, monkeypatch, exc, code, prefix):
+    def runner(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_branching_t", runner)
+    path = tmp_path / "basis.fam"
+    path.write_text("n=6 k=*\n1,2\n1,3\n2,3\n")
+    got, out, err = run_cli(capsys, "branch", "--name", "t", "--input",
+                            str(path), "--t", "1", "--k", "3", "--r", "2")
+    assert got == code
+    assert out == ""
+    assert err == f"{prefix}{exc}\n"
 
 
 def test_verify_all_subset(capsys):
