@@ -201,9 +201,10 @@ def _finish_report(survivors, cover: Family, t: int, k: int, r: int,
                       for level, masks in cover_levels.items() if level >= r
                       for m in masks)
 
-    floors = {l: level_weight(l) for l in level_counts if l >= r}
-    weight_bound_ok = all(s.weight >= floors[len(s.elements)]
-                          for s in survivors if len(s.elements) >= r)
+    # survivors carry few distinct (level, weight) pairs: compare each once
+    level_weights = {(len(s.elements), s.weight.numerator, s.weight.denominator)
+                     for s in survivors if len(s.elements) >= r}
+    weight_bound_ok = all(Fraction(p, q) >= level_weight(l) for l, p, q in level_weights)
 
     lam = {level: len(masks) * level_weight(level)
            for level, masks in sorted(cover_levels.items()) if r <= level <= k}

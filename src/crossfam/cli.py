@@ -169,7 +169,7 @@ def _cmd_search(args) -> int:
     problem = SearchProblem(
         objective=objective, n=args.n, k=args.k, t=args.t,
         symmetry_reduction=args.symmetry_reduction, seed=args.seed,
-        budget=args.budget, workers=args.workers or 1)
+        budget=args.budget)
     res = maximize(problem)
     result = {"objective": objective, "seed": args.seed}
     result.update(res.to_json_dict())
@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--output")
         p.add_argument("--budget", type=int)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted and echoed in the report; has no effect")
 
     p = sub.add_parser("construct", help="emit a named construction as a family file")
     common(p)

@@ -6,16 +6,20 @@ raw member-tuple key is automatically in canonical form: its key equals the
 minimum over all ground-set permutations of any maximizer's key.  Witness
 tie-breaking therefore never has to enumerate permutations.
 
-Monotonicity does the heavy lifting for the cross objectives: for a fixed F
-the best partner is G*(F), the set of all k-sets meeting every member of F,
-so the scan runs over F alone.
+For the cross objectives let T(X) be the k-sets meeting every member of X.
+For a fixed F the best partner is T(F), and the closure T(T(F)) of F keeps
+that partner while |F wedge G| and |I(F, G)| only grow.  So only closed F
+are scored, each with T(F), and the witness is the smallest (F-key, G-key)
+among the closed maximizers.  Relabeling maps closed sets to closed sets,
+so that space is label-complete too.  At n = 2k every family is closed and
+all 2^C(n,k) of them are scored.
 """
 
 from __future__ import annotations
 
 import random
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -37,7 +41,7 @@ OBJECTIVES = (
 
 CHECK_PROPERTIES = ("prop21_nu_le4", "pyber", "emc", "hm", "prop53_antichain")
 
-_CROSS_LAYER_CAP = 24  # C(n, k) above this makes the 2^C scan infeasible
+_CROSS_LAYER_CAP = 24  # at n = 2k all 2^C(n, k) families are closed
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,6 @@ class SearchProblem:
     symmetry_reduction: bool = False
     seed: int = 0
     budget: int | None = None
-    workers: int = 1
 
 
 @dataclass
@@ -165,32 +168,25 @@ def _count_pair_bits(ctx: LayerContext, fb: int, gb: int, distinct: bool) -> int
     return len(seen)
 
 
-def _scan_cross_range(n: int, k: int, distinct: bool, lo: int, hi: int):
-    """Best (value, F-key, G-key) over F-subsets encoded as ints in [lo, hi)."""
-    ctx = layer_context(n, k)
-    masks = ctx.masks
-    best_val = -1
-    best_key = None
-    for fs in range(lo, hi):
-        gb = ctx.meet_all(fs)
-        val = _count_pair_bits(ctx, fs, gb, distinct) if gb else 0
-        if val < best_val:
-            continue
-        key = (tuple(masks[i] for i in _indices(fs)),
-               tuple(masks[i] for i in _indices(gb)))
-        if val > best_val or key < best_key:
-            best_val, best_key = val, key
-    return best_val, best_key, hi - lo
+def _closed_sets(ctx: LayerContext):
+    """Every layer bitset X = T(T(X)), T(X) = the k-sets meeting all of X.
 
-
-def _merge_cross(results):
-    best_val, best_key, nodes = -1, None, 0
-    for val, key, count in results:
-        nodes += count
-        if val > best_val or (val == best_val and key is not None
-                              and (best_key is None or key < best_key)):
-            best_val, best_key = val, key
-    return best_val, best_key, nodes
+    The closed sets are the image of T: the full layer T(0) closed under
+    T(X) & adj[i] = T(X + i).  At n = 2k, T(X) is the layer minus the
+    complements of X, so every X is closed.
+    """
+    if ctx.ground.n == 2 * ctx.k:
+        return range(1 << len(ctx.masks))
+    seen = {ctx.full_bits}
+    stack = [ctx.full_bits]
+    while stack:
+        x = stack.pop()
+        for a in ctx.adj:
+            y = x & a
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return sorted(seen)
 
 
 def _maximize_cross(p: SearchProblem, distinct: bool) -> SearchResult:
@@ -200,26 +196,26 @@ def _maximize_cross(p: SearchProblem, distinct: bool) -> SearchResult:
     if layer_size > _CROSS_LAYER_CAP:
         raise DomainError(
             f"C({p.n},{p.k}) = {layer_size} exceeds the exhaustive cap "
-            f"{_CROSS_LAYER_CAP}; use a randomized/budgeted run instead")
-    total = 1 << layer_size
-    workers = max(1, p.workers)
-    chunk = max(1, (total - 1) // (workers * 4) + 1)
-    ranges = [(p.n, p.k, distinct, lo, min(lo + chunk, total))
-              for lo in range(1, total, chunk)]
-    if workers == 1:
-        results = [_scan_cross_range(*args) for args in ranges]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_cross_range_star, ranges))
-    val, key, nodes = _merge_cross(results)
-    ground = GroundSet(p.n)
-    witness = (Family.from_masks(key[0], ground, p.k),
-               Family.from_masks(key[1], ground, p.k) if key[1] else Family.empty(ground, p.k))
-    return SearchResult(val, witness, nodes, True)
-
-
-def _scan_cross_range_star(args):
-    return _scan_cross_range(*args)
+            f"C(n,k) <= {_CROSS_LAYER_CAP} of {p.objective}; this objective "
+            f"has no budgeted mode")
+    ctx = layer_context(p.n, p.k)
+    masks = ctx.masks
+    best_val, best_key, nodes = -1, None, 0
+    for fb in _closed_sets(ctx):
+        if not fb:
+            continue
+        nodes += 1
+        gb = ctx.meet_all(fb)
+        val = _count_pair_bits(ctx, fb, gb, distinct) if gb else 0
+        if val < best_val:
+            continue
+        key = (tuple(masks[i] for i in _indices(fb)),
+               tuple(masks[i] for i in _indices(gb)))
+        if val > best_val or key < best_key:
+            best_val, best_key = val, key
+    witness = (Family.from_masks(best_key[0], ctx.ground, p.k),
+               Family.from_masks(best_key[1], ctx.ground, p.k))
+    return SearchResult(best_val, witness, nodes, True)
 
 
 # --- t-intersecting maximizer via maximal cliques --------------------------
@@ -228,15 +224,8 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def maximal_t_intersecting_families(n: int, k: int, t: int,
-                                    budget: int | None = None):
-    """All maximal t-intersecting k-uniform families on [n], as Families.
-
-    Enumerated as maximal cliques of the compatibility graph with pivoting.
-    Raises on budget exhaustion.
-    """
-    ctx = layer_context(n, k)
-    masks = ctx.masks
+def _maximal_cliques(masks: tuple[int, ...], t: int, budget: int | None):
+    """Bitsets over masks of the maximal t-intersecting subfamilies, and nodes."""
     m = len(masks)
     neigh = [0] * m
     for i in range(m):
@@ -267,28 +256,42 @@ def maximal_t_intersecting_families(n: int, k: int, t: int,
             cand ^= low
 
     bk(0, (1 << m) - 1, 0)
-    ground = GroundSet(n)
-    fams = [Family.from_masks((masks[i] for i in _indices(rb)), ground, k)
-            for rb in out]
-    return fams, nodes
+    return out, nodes
+
+
+def maximal_t_intersecting_families(n: int, k: int, t: int,
+                                    budget: int | None = None):
+    """All maximal t-intersecting k-uniform families on [n], as Families.
+
+    Enumerated as maximal cliques of the compatibility graph with pivoting.
+    Raises on budget exhaustion.
+    """
+    ctx = layer_context(n, k)
+    cliques, nodes = _maximal_cliques(ctx.masks, t, budget)
+    return [ctx.family_of(rb) for rb in cliques], nodes
 
 
 def _maximize_t_intersecting(p: SearchProblem) -> SearchResult:
     if p.k is None or p.t is None:
         raise DomainError("max_I_t_intersecting needs k and t")
     budget = p.budget if p.budget is not None else 10 ** 6
+    ctx = layer_context(p.n, p.k)
     try:
-        fams, nodes = maximal_t_intersecting_families(p.n, p.k, p.t, budget)
+        cliques, nodes = _maximal_cliques(ctx.masks, p.t, budget)
     except _BudgetExceeded:
         raise DomainError(
             f"clique enumeration exceeded the node budget {budget}")
-    best_val, best_fam = -1, None
-    for fam in fams:
-        val = brute_count("I_self", fam)
-        key = fam.members
-        if val > best_val or (val == best_val and key < best_fam.members):
-            best_val, best_fam = val, fam
-    return SearchResult(best_val, best_fam, nodes, True)
+    best_val, best_key = -1, None
+    for rb in cliques:
+        # c members have at most C(c, 2) distinct pairwise intersections
+        if comb(rb.bit_count(), 2) < best_val:
+            continue
+        key = tuple(ctx.masks[i] for i in _indices(rb))
+        val = _distinct_count_masks(key)
+        if val > best_val or (val == best_val and key < best_key):
+            best_val, best_key = val, key
+    return SearchResult(best_val, Family.from_masks(best_key, ctx.ground, p.k),
+                        nodes, True)
 
 
 # --- antichain and cross-Sperner maximizers --------------------------------
@@ -306,7 +309,7 @@ def _strict_incomparability(num_sets: int):
     return incomp
 
 
-def _distinct_count_masks(masks: list[int]) -> int:
+def _distinct_count_masks(masks: Sequence[int]) -> int:
     seen = set()
     for i, a in enumerate(masks):
         for b in masks[i + 1:]:
@@ -702,25 +705,10 @@ def all_saturated_pairs(n: int, k: int):
     """Every saturated cross-intersecting pair on the (n, k) layer.
 
     The map G -> (all k-sets meeting every member of G) is an antitone
-    Galois map, so saturated pairs are exactly (X, T(X)) for X in the image
-    of T; the image is the closure of the full layer under intersecting
-    with single-set neighborhoods.
+    Galois map T, so saturated pairs are exactly (X, T(X)) for the closed X
+    that ``_closed_sets`` lists.
     """
     ctx = layer_context(n, k)
     if ctx.adj is None:
         raise DomainError(f"layer C({n},{k}) too large for closure enumeration")
-    seen = {ctx.full_bits}
-    stack = [ctx.full_bits]
-    while stack:
-        x = stack.pop()
-        for a in ctx.adj:
-            y = x & a
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    pairs = []
-    for x in sorted(seen):
-        tx = ctx.meet_all(x)
-        if ctx.meet_all(tx) == x:
-            pairs.append((x, tx))
-    return ctx, pairs
+    return ctx, [(x, ctx.meet_all(x)) for x in _closed_sets(ctx)]

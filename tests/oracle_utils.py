@@ -165,3 +165,41 @@ def branching_oracle(members, cover, t, k, r, rng=None, cross=False):
                                for seq, w, _ in survivors if len(seq) >= r),
         "inequality_lhs": _frac(sum(lam.values(), Fraction(0))),
     }
+
+
+def cross_scan_oracle(n, k, distinct):
+    """The plain scan over every nonempty family F of k-sets, with G = T(F).
+
+    T(X) is the family of k-sets meeting every member of X.  Returns the
+    maximum of |I(F, G)| (distinct=True) or |F wedge G| over all F, and the
+    smallest (F-key, G-key) among the maximizers with T(T(F)) = F.  A key
+    is the ascending tuple of member bitmasks.  Families are bitsets over
+    the sorted k-sets, and each one's members and T-image extend those of
+    the family without its lowest member.
+    """
+    masks = sorted(_mask(s) for s in ksets(n, k))
+    size = len(masks)
+    meet = [[a & b for b in masks] for a in masks]
+    rows = [sum(1 << j for j, m in enumerate(row) if m) for row in meet]
+    members = [[]] + [None] * ((1 << size) - 1)
+    t_map = [(1 << size) - 1] + [None] * ((1 << size) - 1)
+    for bits in range(1, 1 << size):
+        low = (bits & -bits).bit_length() - 1
+        rest = bits & (bits - 1)
+        members[bits] = [low] + members[rest]
+        t_map[bits] = t_map[rest] & rows[low]
+    best_val, best_key = -1, None
+    values = [None] * (1 << size)
+    for fb in range(1, 1 << size):
+        gs = members[t_map[fb]]
+        values[fb] = len({meet[i][j] for i in members[fb] for j in gs
+                          if not distinct or i != j})
+        best_val = max(best_val, values[fb])
+    for fb in range(1, 1 << size):
+        gb = t_map[fb]
+        if values[fb] == best_val and t_map[gb] == fb:
+            key = (tuple(masks[i] for i in members[fb]),
+                   tuple(masks[i] for i in members[gb]))
+            if best_key is None or key < best_key:
+                best_key = key
+    return best_val, best_key

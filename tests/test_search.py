@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,8 @@ from crossfam.search import (
     sample_saturated_pair_bits,
 )
 from crossfam.transversals import layer_context
+
+import oracle_utils as oracle
 
 
 def fam(sets, n, k=None):
@@ -72,8 +75,10 @@ def test_max_I_cross_small():
 
 
 def test_max_I_cross_rejects_large_layer():
-    with pytest.raises(DomainError):
-        maximize(SearchProblem("max_I_cross", n=10, k=3))
+    with pytest.raises(DomainError, match=r"^C\(10,3\) = 120 exceeds the exhaustive cap "
+                       r"C\(n,k\) <= 24 of max_I_cross; this objective has no "
+                       r"budgeted mode$"):
+        maximize(SearchProblem("max_I_cross", n=10, k=3, budget=1000))
 
 
 def test_max_wedge_cross_small():
@@ -92,6 +97,17 @@ def test_max_I_t_intersecting():
     res = maximize(SearchProblem("max_I_t_intersecting", n=6, k=2, t=1))
     assert res.exhaustive and res.value == 3
     assert are_isomorphic(res.witness, triangle_family(6, 2))
+
+
+@pytest.mark.parametrize("n,k,t", [(5, 2, 1), (6, 2, 1), (6, 3, 1), (6, 3, 2), (7, 3, 1),
+                                   (7, 4, 2)])
+def test_t_intersecting_search_matches_clique_scan(n, k, t):
+    # every maximal family scored with the oracle; smallest member tuple wins ties
+    fams, nodes = maximal_t_intersecting_families(n, k, t)
+    best = min(fams, key=lambda f: (-brute_count("I_self", f), f.members))
+    res = maximize(SearchProblem("max_I_t_intersecting", n=n, k=k, t=t))
+    assert (res.value, res.witness, res.nodes_explored) == (
+        brute_count("I_self", best), best, nodes)
 
 
 def test_maximal_clique_counts():
@@ -145,11 +161,14 @@ def test_search_determinism():
     assert r1.nodes_explored == r2.nodes_explored
 
 
-def test_workers_merge_matches_serial():
-    serial = maximize(SearchProblem("max_I_cross", n=5, k=2, workers=1))
-    chunked = maximize(SearchProblem("max_I_cross", n=5, k=2, workers=2))
-    assert serial.value == chunked.value
-    assert serial.witness == chunked.witness
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 16) for k in range(1, n + 1)
+                                 if comb(n, k) <= 15])
+def test_cross_search_matches_scan_oracle(n, k):
+    # covers n < 2k, n = 2k and n > 2k; the oracle scans all 2^C(n,k) families
+    for objective, distinct in (("max_I_cross", True), ("max_wedge_cross", False)):
+        res = maximize(SearchProblem(objective, n=n, k=k))
+        f, g = res.witness
+        assert (res.value, (f.members, g.members)) == oracle.cross_scan_oracle(n, k, distinct)
 
 
 def test_exhaustive_value_is_permutation_invariant():
