@@ -5,7 +5,6 @@ from .families import (
     Family,
     GroundSet,
     NodeLimitExceeded,
-    Subset,
     VerificationError,
     distinct_intersections,
     family_from_text,

@@ -20,6 +20,11 @@ holds iff fewer than t elements lie in every member.
 The selection rule is deterministic by default (smallest cardinality, then
 smallest mask, among the qualifying sets); pass a seeded ``random.Random``
 to exercise the claims under arbitrary legal selections.
+
+``BranchReport.to_json`` renders each distinct chosen set, chosen-set tuple
+and weight of the survivors once and splices that text into the
+``json.dumps`` text of the other fields, byte for byte the text of
+``json.dumps(to_json_dict(), sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -70,10 +75,18 @@ class BranchReport:
     weight_bound_ok: bool
     inequality_lhs: Fraction
 
-    def to_json_dict(self) -> dict:
-        def frac(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}"
+    def _scalars(self) -> dict:
+        """Every field of the JSON form except the survivors."""
+        return {
+            "total_weight": _frac(self.total_weight),
+            "level_counts": {str(l): c for l, c in sorted(self.level_counts.items())},
+            "lambda": {str(l): _frac(v) for l, v in sorted(self.lam.items())},
+            "coverage_ok": self.coverage_ok,
+            "weight_bound_ok": self.weight_bound_ok,
+            "inequality_lhs": _frac(self.inequality_lhs),
+        }
 
+    def to_json_dict(self) -> dict:
         # few distinct sets are chosen; survivors share their element lists
         sets = {m: list(elements_of(m))
                 for m in {m for s in self.survivors for m in s.chosen_sets}}
@@ -81,21 +94,57 @@ class BranchReport:
             "survivors": [
                 {
                     "elements": list(s.elements),
-                    "weight": frac(s.weight),
+                    "weight": _frac(s.weight),
                     "chosen_sets": [sets[m] for m in s.chosen_sets],
                 }
                 for s in self.survivors
             ],
-            "total_weight": frac(self.total_weight),
-            "level_counts": {str(l): c for l, c in sorted(self.level_counts.items())},
-            "lambda": {str(l): frac(v) for l, v in sorted(self.lam.items())},
-            "coverage_ok": self.coverage_ok,
-            "weight_bound_ok": self.weight_bound_ok,
-            "inequality_lhs": frac(self.inequality_lhs),
+            **self._scalars(),
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        """The bytes of ``json.dumps(self.to_json_dict(), sort_keys=True)``.
+
+        Each distinct chosen set, chosen-set tuple and weight is rendered
+        once.  ``str`` of a list of ints is its JSON text; that of a tuple
+        is not, so every sequence goes through ``list``.
+        """
+        sets: dict[int, str] = {}
+        tuples: dict[tuple[int, ...], str] = {}
+        weights: dict[tuple[int, int], str] = {}
+        parts = []
+        for s in self.survivors:
+            chosen = tuples.get(s.chosen_sets)
+            if chosen is None:
+                for m in s.chosen_sets:
+                    if m not in sets:
+                        sets[m] = str(list(elements_of(m)))
+                chosen = "[" + ", ".join([sets[m] for m in s.chosen_sets]) + "]"
+                tuples[s.chosen_sets] = chosen
+            key = (s.weight.numerator, s.weight.denominator)
+            weight = weights.get(key)
+            if weight is None:
+                weight = weights[key] = json.dumps(_frac(s.weight))
+            parts.append(f'{{"chosen_sets": {chosen}, "elements": {list(s.elements)}, '
+                         f'"weight": {weight}}}')
+        return splice_json(self._scalars(), "survivors", "[" + ", ".join(parts) + "]")
+
+
+def _frac(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def splice_json(obj: dict, key: str, encoded: str) -> str:
+    """The bytes of ``json.dumps(obj | {key: value}, sort_keys=True)``.
+
+    ``encoded`` is the JSON text of value, taken verbatim; obj's keys are
+    strings.  The keys of obj below key are dumped before it and those
+    above it after it, with json's default separators.
+    """
+    head = json.dumps({k: v for k, v in obj.items() if k < key}, sort_keys=True)[1:-1]
+    tail = json.dumps({k: v for k, v in obj.items() if k > key}, sort_keys=True)[1:-1]
+    item = f"{json.dumps(key)}: {encoded}"
+    return "{" + ", ".join(part for part in (head, item, tail) if part) + "}"
 
 
 def _choose(pool: list[int], rng: random.Random | None) -> int:

@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import __version__, acceptance
-from .branching import run_branching_cross, run_branching_t
+from .branching import BranchReport, run_branching_cross, run_branching_t, splice_json
 from .constructions import CONSTRUCTION_NAMES, construct, verify_construction
 from .families import (DomainError, NodeLimitExceeded, VerificationError, families_from_text,
                        families_to_text, family_to_text)
@@ -73,6 +73,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _report(args, result) -> str:
+    """The report text of result: a JSON-able value or a BranchReport."""
     envelope = {
         "command": args.command,
         "version": __version__,
@@ -84,8 +85,12 @@ def _report(args, result) -> str:
             if getattr(args, key, None) is not None
         },
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "result": result,
     }
+    if isinstance(result, BranchReport):
+        if args.format == "json":
+            return splice_json(envelope, "result", result.to_json()) + "\n"
+        result = result.to_json_dict()
+    envelope["result"] = result
     if args.format == "json":
         return json.dumps(envelope, sort_keys=True) + "\n"
     if args.format == "csv":
@@ -167,8 +172,7 @@ def _cmd_search(args) -> int:
     if objective not in OBJECTIVES:
         raise DomainError(f"unknown objective {args.objective!r}")
     problem = SearchProblem(
-        objective=objective, n=args.n, k=args.k, t=args.t,
-        symmetry_reduction=args.symmetry_reduction, seed=args.seed,
+        objective=objective, n=args.n, k=args.k, t=args.t, seed=args.seed,
         budget=args.budget)
     res = maximize(problem)
     result = {"objective": objective, "seed": args.seed}
@@ -193,7 +197,7 @@ def _cmd_branch(args) -> int:
         rep = run_branching_t(fams[0], t=args.t, k=args.k, r=args.r, rng=rng)
     else:
         raise DomainError("branch --name must be 'cross' or 't'")
-    _emit(_report(args, rep.to_json_dict()), args.output)
+    _emit(_report(args, rep), args.output)
     return 0
 
 
@@ -250,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="run an exhaustive or budgeted maximizer")
     common(p)
     p.add_argument("--objective", required=True)
-    p.add_argument("--symmetry-reduction", action="store_true",
-                   dest="symmetry_reduction")
 
     p = sub.add_parser("branch", help="run a branching process on families from a file")
     common(p)

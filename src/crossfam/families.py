@@ -78,31 +78,6 @@ class GroundSet:
 
 
 @dataclass(frozen=True)
-class Subset:
-    """A single subset of a ground set, stored as a bitmask."""
-
-    bits: int
-    ground: GroundSet
-
-    def __post_init__(self) -> None:
-        if not self.ground.contains_mask(self.bits):
-            raise DomainError(f"mask {self.bits:#x} has bits above n={self.ground.n}")
-
-    @classmethod
-    def of(cls, elements: Iterable[int], ground: GroundSet) -> "Subset":
-        return cls(mask_of(elements), ground)
-
-    def elements(self) -> tuple[int, ...]:
-        return elements_of(self.bits)
-
-    def cardinality(self) -> int:
-        return self.bits.bit_count()
-
-    def __contains__(self, element: int) -> bool:
-        return 1 <= element <= self.ground.n and bool(self.bits >> (element - 1) & 1)
-
-
-@dataclass(frozen=True)
 class Family:
     """A duplicate-free collection of subsets in canonical (mask) order.
 

@@ -26,6 +26,7 @@ from itertools import permutations
 from math import comb
 
 from .families import (
+    MAX_GROUND,
     DomainError,
     Family,
     GroundSet,
@@ -50,7 +51,6 @@ class SearchProblem:
     n: int
     k: int | None = None
     t: int | None = None
-    symmetry_reduction: bool = False
     seed: int = 0
     budget: int | None = None
 
@@ -421,6 +421,14 @@ def _maximize_cross_sperner(p: SearchProblem) -> SearchResult:
 
 def maximize(p: SearchProblem) -> SearchResult:
     """Solve a SearchProblem exactly (or best-effort under a budget)."""
+    if not isinstance(p.n, int) or not 1 <= p.n <= MAX_GROUND:
+        raise DomainError(f"search needs n in 1..{MAX_GROUND}, got {p.n}")
+    if p.k is not None and not 0 <= p.k <= p.n:
+        raise DomainError(f"search needs 0 <= k <= n = {p.n}, got k = {p.k}")
+    if p.t is not None and p.t < 1:
+        raise DomainError(f"search needs t >= 1, got t = {p.t}")
+    if p.budget is not None and p.budget < 1:
+        raise DomainError(f"a search budget must be at least 1, got {p.budget}")
     if p.objective == "max_wedge_cross":
         return _maximize_cross(p, distinct=False)
     if p.objective == "max_I_cross":

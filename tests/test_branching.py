@@ -4,12 +4,15 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossfam.families import DomainError, Family, GroundSet, NodeLimitExceeded, elements_of
 from crossfam.branching import (
     run_branching_cross,
     run_branching_t,
     smallest_branching_level,
+    splice_json,
     verify_window_closure,
 )
 from crossfam.constructions import four_star_pair
@@ -223,6 +226,38 @@ def test_frontier_matches_oracle(rule):
         want = oracle.branching_oracle(_sets(driver), _sets(cover), t, k, r, oracle_rng,
                                        cross=kind == "cross")
         assert rep.to_json() == json.dumps(want, sort_keys=True), name
+
+
+_SPLICE_CASES = {
+    "head_and_tail": ({"a": 1, "z": [2, 3]}, "m", {"x": [1, 2]}),
+    "empty_head": ({"b": True, "c": None}, "a", [1, "2"]),
+    "empty_tail": ({"a": "1/2", "b": {"y": 1, "x": 2}}, "c", "3/4"),
+    "empty_obj": ({}, "survivors", []),
+    "replaces_key": ({"a": 1, "m": "old", "z": 2}, "m", "new"),
+    "escaped_keys_and_values": ({'q"uote': "tab\there", "\u00e9": "\u00ff\n",
+                                 "back\\slash": ["\u2603"]}, 'k"ey\n', {"\u00fc": '"'}),
+}
+
+
+@pytest.mark.parametrize("obj, key, value", _SPLICE_CASES.values(), ids=_SPLICE_CASES)
+def test_splice_json_matches_json_dumps(obj, key, value):
+    encoded = json.dumps(value, sort_keys=True)
+    assert splice_json(obj, key, encoded) == json.dumps(obj | {key: value}, sort_keys=True)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=5), st.text(max_size=4),
+       _JSON_VALUES)
+def test_splice_json_property(obj, key, value):
+    encoded = json.dumps(value, sort_keys=True)
+    assert splice_json(obj, key, encoded) == json.dumps(obj | {key: value}, sort_keys=True)
 
 
 @pytest.mark.parametrize("run", [

@@ -1,12 +1,15 @@
 import json
+import random
 import re
+from itertools import combinations
 
 import pytest
 
-from crossfam import cli
+import crossfam as cf
+from crossfam import __version__, cli
 from crossfam.cli import main
-from crossfam.families import (NodeLimitExceeded, VerificationError, families_from_text,
-                               family_from_text)
+from crossfam.families import (Family, GroundSet, NodeLimitExceeded, VerificationError,
+                               families_from_text, families_to_text, family_from_text)
 
 
 def run_cli(capsys, *argv):
@@ -100,13 +103,8 @@ def test_check_unknown_suite(capsys):
 
 
 def test_branch_command(capsys, tmp_path):
-    import crossfam as cf
-    from crossfam.families import families_to_text
-
-    a1, a2 = cf.four_star_pair(8, 3)
-    b1, b2 = cf.basis_pair(a1, a2)
     path = tmp_path / "bases.fam"
-    path.write_text(families_to_text([b1, b2]))
+    path.write_text(families_to_text(_four_star_bases()))
     code, out, _ = run_cli(capsys, "branch", "--name", "cross", "--input",
                            str(path), "--k", "3", "--r", "2")
     assert code == 0
@@ -162,10 +160,83 @@ def test_verify_all_subset(capsys):
     assert "criterion  1 [PASS]" in err
 
 
-def test_report_determinism_modulo_timestamp(capsys):
-    _, out1, _ = run_cli(capsys, "eval", "--id", "binom", "--n", "10", "--k", "4")
-    _, out2, _ = run_cli(capsys, "eval", "--id", "binom", "--n", "10", "--k", "4")
-    assert strip_timestamp(out1) == strip_timestamp(out2)
+def _four_star_bases():
+    return cf.basis_pair(*cf.four_star_pair(8, 3))
+
+
+def _layer(n, k):
+    return Family.from_sets(combinations(range(1, n + 1), k), GroundSet(n), k)
+
+
+def test_report_determinism_modulo_timestamp(capsys, tmp_path):
+    path = tmp_path / "bases.fam"
+    path.write_text(families_to_text(_four_star_bases()))
+    branch = ("branch", "--name", "cross", "--input", str(path), "--k", "3", "--r", "2")
+    for argv in [("eval", "--id", "binom", "--n", "10", "--k", "4"),
+                 branch, branch + ("--random-rule", "--seed", "4")]:
+        _, out1, _ = run_cli(capsys, *argv)
+        _, out2, _ = run_cli(capsys, *argv)
+        assert strip_timestamp(out1) == strip_timestamp(out2), argv
+
+
+@pytest.mark.parametrize("bases, k, r", [
+    pytest.param(_four_star_bases, 3, 2, id="four_star"),
+    pytest.param(lambda: (_layer(7, 4), _layer(7, 4)), 4, 4, id="layer_cross_7_4"),
+])
+@pytest.mark.parametrize("rule", ["det", "random"])
+def test_branch_json_matches_envelope_dump(capsys, tmp_path, bases, k, r, rule):
+    # the spliced report against json.dumps of the envelope around to_json_dict()
+    b1, b2 = bases()
+    path = tmp_path / "bases.fam"
+    path.write_text(families_to_text([b1, b2]))
+    argv = ["branch", "--name", "cross", "--input", str(path), "--k", str(k), "--r", str(r),
+            "--seed", "3"] + (["--random-rule"] if rule == "random" else [])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rng = random.Random("branch:3") if rule == "random" else None
+    rep = cf.run_branching_cross(b1, b2, k=k, r=r, rng=rng)
+    envelope = {"command": "branch", "version": __version__, "seed": 3,
+                "params": {"k": k, "name": "cross", "r": r, "workers": 1},
+                "timestamp": "-", "result": rep.to_json_dict()}
+    assert strip_timestamp(out) == json.dumps(envelope, sort_keys=True) + "\n"
+
+
+def test_branch_csv_and_text_use_dict_form(capsys, tmp_path):
+    path = tmp_path / "basis.fam"
+    path.write_text("n=6 k=*\n1,2\n1,3\n2,3\n")
+    argv = ("branch", "--name", "t", "--input", str(path), "--t", "1", "--k", "3", "--r", "2")
+    code, out, _ = run_cli(capsys, *argv, "--format", "text")
+    assert code == 0
+    assert "total_weight: 1/1" in out.splitlines()
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == ("coverage_ok,inequality_lhs,lambda,level_counts,"
+                                   "survivors,total_weight,weight_bound_ok")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--objective", "I_antichain", "--n", "5", "--budget", "0"),
+    ("--objective", "cross_sperner", "--n", "5", "--budget", "0"),
+    ("--objective", "cross_sperner", "--n", "5", "--budget", "-3"),
+    ("--objective", "I_cross", "--n", "5", "--k", "-1"),
+    ("--objective", "I_cross", "--n", "5", "--k", "6"),
+    ("--objective", "I_antichain", "--n", "-1"),
+    ("--objective", "I_antichain", "--n", "65"),
+    ("--objective", "I_antichain"),
+    ("--objective", "I_t_intersecting", "--n", "6", "--k", "2", "--t", "0"),
+])
+def test_search_bad_budget_or_size_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "search", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_search_budget_still_accepted(capsys):
+    code, out, _ = run_cli(capsys, "search", "--objective", "cross_sperner", "--n", "5",
+                           "--budget", "2000")
+    assert code == 0
+    assert json.loads(out)["result"]["nodes"] == 2000
 
 
 def test_csv_format(capsys):

@@ -6,7 +6,6 @@ from crossfam.families import (
     DomainError,
     Family,
     GroundSet,
-    Subset,
     common_members,
     distinct_intersections,
     families_from_text,
@@ -58,15 +57,6 @@ def test_ground_set_bounds():
         GroundSet(0)
     with pytest.raises(DomainError):
         GroundSet(65)
-
-
-def test_subset_rejects_out_of_range_bits():
-    with pytest.raises(DomainError):
-        Subset(1 << 5, GroundSet(4))
-    s = Subset.of([2, 4], GroundSet(4))
-    assert s.elements() == (2, 4)
-    assert s.cardinality() == 2
-    assert 2 in s and 3 not in s
 
 
 def test_family_canonical_order_and_dedup():
