@@ -11,7 +11,7 @@ and level weights read from B2; both run the one frontier in ``_grow``.
 Each live sequence carries the list its pool is filtered from: its parent's
 pool {m : |m & S| < t}.  Filtering that list by the child's set is exact,
 since |m & S| only grows with S, and keeps the basis order.  Conservation
-sums group equal weights (an exact Fraction times its count), and retired
+sums one (shared Fraction, count) pair per sibling group, and retired
 survivors enter a running total once.  The hypothesis tau_t(F) >= t+1 needs
 no search: a set of at most t elements meets every member in t elements
 only if it is a t-set inside all of them, so for members of size >= t it
@@ -158,9 +158,11 @@ def _tau_t_exceeds_t(members, t: int) -> bool:
     return reduce(and_, members).bit_count() < t
 
 
-def _weight_sum(weights) -> Fraction:
-    """Exact sum of Fractions, each distinct value added once times its count."""
-    counts = Counter((w.numerator, w.denominator) for w in weights)
+def _weight_sum(groups) -> Fraction:
+    """Exact sum of count * w over (Fraction w, count) pairs, each distinct w added once."""
+    counts: Counter = Counter()
+    for w, c in groups:
+        counts[w.numerator, w.denominator] += c
     return sum((Fraction(p * c, q) for (p, q), c in counts.items()), Fraction(0))
 
 
@@ -180,8 +182,8 @@ def smallest_branching_level(b: Family, t: int = 1) -> int | None:
 
 
 def _grow(low: list[int], members: tuple[int, ...], seed: int, t: int,
-          rng: random.Random | None, max_nodes: int) -> list[BranchSequence]:
-    """Run the t-process from the t-subsets of seed; return its survivors.
+          rng: random.Random | None, max_nodes: int):
+    """Run the t-process from the t-subsets of seed; return survivors, survivor sets.
 
     The first extension draws from low, every later one from members.
     """
@@ -190,48 +192,54 @@ def _grow(low: list[int], members: tuple[int, ...], seed: int, t: int,
     # list its pool {m : |m & S| < t} is filtered from (its parent's pool)
     frontier = [(combo, weight, (seed,), mask_of(combo), low)
                 for combo in combinations(elements_of(seed), t)]
+    groups = [(weight, len(frontier))]
     survivors: list[BranchSequence] = []
+    survivor_sets: set[int] = set()
     retired = Fraction(0)
     nodes = 0
     first = True
     while True:
-        total = _weight_sum(seq[1] for seq in frontier) + retired
+        total = _weight_sum(groups) + retired
         if total != 1:
             raise VerificationError(f"live weight is {total} mid-run, expected exactly 1")
         if not frontier:
-            return survivors
+            return survivors, survivor_sets
         nxt = []
+        groups = []
         done = []
         for elements, weight, chosen_sets, smask, pool in frontier:
             pool = [m for m in pool if (m & smask).bit_count() < t]
             if not pool:
                 done.append(BranchSequence(elements, weight, chosen_sets))
+                survivor_sets.add(smask)
                 continue
             chosen = _choose(pool, rng)
             free = chosen & ~smask
-            nodes += free.bit_count()
+            count = free.bit_count()
+            nodes += count
             if nodes > max_nodes:
                 raise NodeLimitExceeded(f"branching exceeded {max_nodes} nodes")
-            share = weight / free.bit_count()
+            share = weight / count
+            groups.append((share, count))
             chosen_sets += (chosen,)
             inherited = members if first else pool
             for y in elements_of(free):
                 nxt.append((elements + (y,), share, chosen_sets, smask | 1 << (y - 1),
                             inherited))
-        retired += _weight_sum(s.weight for s in done)
+        retired += _weight_sum((s.weight, 1) for s in done)
         survivors += done
         frontier = nxt
         first = False
 
 
-def _finish_report(survivors, cover: Family, t: int, k: int, r: int,
-                   strict: bool) -> BranchReport:
-    """Check the survivors against the levels l >= r of cover.
+def _finish_report(survivors, survivor_sets: set[int], cover: Family, t: int, k: int,
+                   r: int, strict: bool) -> BranchReport:
+    """Check the survivors, with element masks survivor_sets, against cover's levels >= r.
 
     Level l weighs 1/(C(l, t) l k^(l-t-1)): the floor of a level-l survivor,
     and each level-l member's share of the inequality's left-hand side.
     """
-    total = _weight_sum(s.weight for s in survivors)
+    total = _weight_sum((s.weight, 1) for s in survivors)
     level_counts: dict[int, int] = {}
     for s in survivors:
         level_counts[len(s.elements)] = level_counts.get(len(s.elements), 0) + 1
@@ -245,8 +253,8 @@ def _finish_report(survivors, cover: Family, t: int, k: int, r: int,
     cover_levels: dict[int, list[int]] = {}
     for m in cover.members:
         cover_levels.setdefault(m.bit_count(), []).append(m)
-    covered = {(mask_of(s.elements), len(s.elements)) for s in survivors}
-    coverage_ok = all((m, level) in covered
+    # a survivor's sequence has no repeats, so its set fixes its level
+    coverage_ok = all(m in survivor_sets
                       for level, masks in cover_levels.items() if level >= r
                       for m in masks)
 
@@ -300,8 +308,8 @@ def run_branching_cross(b1: Family, b2: Family, k: int, r: int,
         raise DomainError(f"hypothesis tau(B1 restricted to sizes <= {r}) >= 2 violated")
 
     seed = _choose([m for m in b1.members if m.bit_count() == s], rng)
-    survivors = _grow(low, b1.members, seed, 1, rng, max_nodes)
-    return _finish_report(survivors, b2, 1, k, r, strict)
+    return _finish_report(*_grow(low, b1.members, seed, 1, rng, max_nodes), b2, 1, k, r,
+                          strict)
 
 
 def run_branching_t(b: Family, t: int, k: int, r: int,
@@ -333,8 +341,8 @@ def run_branching_t(b: Family, t: int, k: int, r: int,
         raise DomainError(f"hypothesis tau_t(B restricted to sizes <= {r}) >= t+1 violated")
 
     seed = _choose([m for m in b.members if m.bit_count() == s], rng)
-    survivors = _grow(low, b.members, seed, t, rng, max_nodes)
-    return _finish_report(survivors, b, t, k, r, strict)
+    return _finish_report(*_grow(low, b.members, seed, t, rng, max_nodes), b, t, k, r,
+                          strict)
 
 
 def verify_window_closure(b: Family, t: int, n: int, k: int) -> bool:

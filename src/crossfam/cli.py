@@ -143,7 +143,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.name == "inequality_grid":
-        rep = inequality_grid(args.n or 200, args.k or 20)
+        rep = inequality_grid(200 if args.n is None else args.n, 20 if args.k is None else args.k)
         result = {
             "suite": "inequality_grid",
             "checked": rep["checked"],

@@ -267,6 +267,8 @@ def inequality_grid(n_max: int = 200, k_max: int = 20, mode: str = "auto") -> di
     """
     if mode not in ("auto", "raw", "reduced"):
         raise DomainError(f"unknown grid mode {mode!r}")
+    if n_max < 1 or k_max < 1:
+        raise DomainError(f"the grid needs n_max >= 1 and k_max >= 1, got {n_max}, {k_max}")
     use_raw = mode == "raw" or (mode == "auto" and n_max <= 60)
     checked = {iid: 0 for iid in INEQUALITY_IDS}
     failures: list[tuple] = []

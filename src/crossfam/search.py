@@ -18,7 +18,6 @@ all 2^C(n,k) of them are scored.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,7 +31,7 @@ from .families import (
     GroundSet,
     elements_of,
 )
-from .transversals import LayerContext, has_matching_of_size, layer_context
+from .transversals import LayerContext, has_matching_of_size, layer_context, sets_above, t_row
 from . import transversals
 
 OBJECTIVES = (
@@ -224,15 +223,10 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _maximal_cliques(masks: tuple[int, ...], t: int, budget: int | None):
-    """Bitsets over masks of the maximal t-intersecting subfamilies, and nodes."""
-    m = len(masks)
-    neigh = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (masks[i] & masks[j]).bit_count() >= t:
-                neigh[i] |= 1 << j
-                neigh[j] |= 1 << i
+def _maximal_cliques(ctx: LayerContext, t: int, budget: int | None):
+    """Layer bitsets of the maximal t-intersecting subfamilies, and nodes."""
+    up = sets_above(ctx.ground.n, ctx.k, t)
+    neigh = [t_row(up, mask, t) & ~(1 << i) for i, mask in enumerate(ctx.masks)]
     out = []
     nodes = 0
 
@@ -255,7 +249,7 @@ def _maximal_cliques(masks: tuple[int, ...], t: int, budget: int | None):
             xb |= low
             cand ^= low
 
-    bk(0, (1 << m) - 1, 0)
+    bk(0, ctx.full_bits, 0)
     return out, nodes
 
 
@@ -267,7 +261,7 @@ def maximal_t_intersecting_families(n: int, k: int, t: int,
     Raises on budget exhaustion.
     """
     ctx = layer_context(n, k)
-    cliques, nodes = _maximal_cliques(ctx.masks, t, budget)
+    cliques, nodes = _maximal_cliques(ctx, t, budget)
     return [ctx.family_of(rb) for rb in cliques], nodes
 
 
@@ -277,7 +271,7 @@ def _maximize_t_intersecting(p: SearchProblem) -> SearchResult:
     budget = p.budget if p.budget is not None else 10 ** 6
     ctx = layer_context(p.n, p.k)
     try:
-        cliques, nodes = _maximal_cliques(ctx.masks, p.t, budget)
+        cliques, nodes = _maximal_cliques(ctx, p.t, budget)
     except _BudgetExceeded:
         raise DomainError(
             f"clique enumeration exceeded the node budget {budget}")
@@ -425,8 +419,8 @@ def maximize(p: SearchProblem) -> SearchResult:
         raise DomainError(f"search needs n in 1..{MAX_GROUND}, got {p.n}")
     if p.k is not None and not 0 <= p.k <= p.n:
         raise DomainError(f"search needs 0 <= k <= n = {p.n}, got k = {p.k}")
-    if p.t is not None and p.t < 1:
-        raise DomainError(f"search needs t >= 1, got t = {p.t}")
+    if p.t is not None and not 1 <= p.t <= p.n:
+        raise DomainError(f"search needs 1 <= t <= n = {p.n}, got t = {p.t}")
     if p.budget is not None and p.budget < 1:
         raise DomainError(f"a search budget must be at least 1, got {p.budget}")
     if p.objective == "max_wedge_cross":
@@ -478,21 +472,24 @@ def sample_saturated_pair(n: int, k: int, rng: random.Random,
 
 def sample_saturated_t_family(n: int, k: int, t: int, rng: random.Random,
                               max_members: int = 3) -> Family:
-    """A random saturated t-intersecting k-uniform family."""
+    """A random saturated t-intersecting k-uniform family.
+
+    After a first k-set, up to max_members - 1 more are drawn, each from the
+    bitset (in mask order) of the k-sets meeting all drawn ones in >= t.
+    """
     ctx = layer_context(n, k)
-    masks = ctx.masks
-    for _ in range(200):
-        chosen = [rng.choice(masks)]
-        for _ in range(rng.randint(0, max_members - 1)):
-            pool = [m for m in masks
-                    if m not in chosen
-                    and all((m & c).bit_count() >= t for c in chosen)]
-            if not pool:
-                break
-            chosen.append(rng.choice(pool))
-        fam = Family.from_masks(chosen, ctx.ground, k)
-        return transversals.saturate_t(fam, t)
-    raise RuntimeError("could not sample a t-intersecting family")
+    up = sets_above(n, k, t)
+    first = rng.choice(ctx.masks)
+    chosen = [first]
+    allowed = t_row(up, first, t) & ~(1 << ctx.index[first])
+    for _ in range(rng.randint(0, max_members - 1)):
+        pool = _indices(allowed)
+        if not pool:
+            break
+        i = rng.choice(pool)
+        chosen.append(ctx.masks[i])
+        allowed &= t_row(up, ctx.masks[i], t) & ~(1 << i)
+    return transversals.saturate_t(Family.from_masks(chosen, ctx.ground, k), t)
 
 
 def sample_family_bits(ctx: LayerContext, rng: random.Random) -> int:
@@ -542,23 +539,6 @@ class CheckReport:
         }
 
 
-@lru_cache(maxsize=None)
-def _corank1_up(n: int, k: int) -> tuple[tuple[int, int], ...]:
-    """((d, bitset of the k-sets above d), ...) over all (k-1)-sets d.
-
-    Built on first use, apart from the eager layer_context build, so that
-    callers that never ask for the corank-1 layer never pay for it.
-    """
-    up: dict[int, int] = defaultdict(int)
-    for i, m in enumerate(layer_context(n, k).masks):
-        mm = m
-        while mm:
-            low = mm & -mm
-            up[m ^ low] |= 1 << i
-            mm ^= low
-    return tuple(sorted(up.items()))
-
-
 def realized_corank1_layer(ctx: LayerContext, fb: int, gb: int) -> list[int]:
     """Masks of the (k-1)-sets realized as intersections of distinct members.
 
@@ -567,7 +547,7 @@ def realized_corank1_layer(ctx: LayerContext, fb: int, gb: int) -> list[int]:
     k-set: the two bitsets below are nonzero and not one equal single bit.
     """
     out = []
-    for dmask, up in _corank1_up(ctx.ground.n, ctx.k):
+    for dmask, up in sets_above(ctx.ground.n, ctx.k, ctx.k - 1).items():
         above_f = fb & up
         if above_f:
             above_g = gb & up

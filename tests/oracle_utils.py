@@ -203,3 +203,47 @@ def cross_scan_oracle(n, k, distinct):
             if best_key is None or key < best_key:
                 best_key = key
     return best_val, best_key
+
+
+def _layer_masks(n, k):
+    return sorted(_mask(s) for s in ksets(n, k))
+
+
+def saturate_t_sweep(members, n, k, t):
+    """Saturation of a t-intersecting family of k-set bitmasks, by sweeps.
+
+    The k-sets are swept in ascending mask order, and each one that meets
+    every member collected so far in >= t elements is added.  A second
+    sweep must add nothing.  Returns the sorted member masks.
+    """
+    fam = list(members)
+    have = set(fam)
+    layer = _layer_masks(n, k)
+    for _ in range(2):
+        added = 0
+        for h in layer:
+            if h not in have and all((h & m).bit_count() >= t for m in fam):
+                fam.append(h)
+                have.add(h)
+                added += 1
+        if not added:
+            return sorted(fam)
+    raise AssertionError("the sweep did not reach a fixed point")
+
+
+def sample_t_draws(n, k, t, rng, max_members=3):
+    """The k-set bitmasks the t-family sampler draws, before saturation.
+
+    One k-set from the sorted layer, then up to max_members - 1 more, each
+    from the list of the sorted k-sets not yet drawn that meet every drawn
+    one in >= t elements.
+    """
+    layer = _layer_masks(n, k)
+    chosen = [rng.choice(layer)]
+    for _ in range(rng.randint(0, max_members - 1)):
+        pool = [m for m in layer
+                if m not in chosen and all((m & c).bit_count() >= t for c in chosen)]
+        if not pool:
+            break
+        chosen.append(rng.choice(pool))
+    return chosen

@@ -87,6 +87,23 @@ def test_check_inequality_grid(capsys):
     assert data["result"]["passed"] is True
 
 
+@pytest.mark.parametrize("argv", [("--n", "0"), ("--n", "-5"), ("--k", "0"), ("--k", "-2"),
+                                  ("--n", "0", "--k", "0")])
+def test_check_inequality_grid_bad_sizes_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "check", "--name", "inequality_grid", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_check_inequality_grid_defaults(capsys):
+    code, out, _ = run_cli(capsys, "check", "--name", "inequality_grid")
+    assert code == 0
+    data = json.loads(out)["result"]
+    assert data["passed"] is True
+    assert data["total_checked"] == 684465
+
+
 def test_check_named_suites(capsys):
     code, out, _ = run_cli(capsys, "check", "--name", "oracle_agreement")
     assert code == 0
@@ -224,6 +241,7 @@ def test_branch_csv_and_text_use_dict_form(capsys, tmp_path):
     ("--objective", "I_antichain", "--n", "65"),
     ("--objective", "I_antichain"),
     ("--objective", "I_t_intersecting", "--n", "6", "--k", "2", "--t", "0"),
+    ("--objective", "I_t_intersecting", "--n", "6", "--k", "2", "--t", "7"),
 ])
 def test_search_bad_budget_or_size_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, "search", *argv)

@@ -28,6 +28,7 @@ from crossfam.search import (
     realized_corank1_layer,
     remap_mask,
     sample_saturated_pair_bits,
+    sample_saturated_t_family,
 )
 from crossfam.transversals import layer_context
 
@@ -108,6 +109,18 @@ def test_t_intersecting_search_matches_clique_scan(n, k, t):
     res = maximize(SearchProblem("max_I_t_intersecting", n=n, k=k, t=t))
     assert (res.value, res.witness, res.nodes_explored) == (
         brute_count("I_self", best), best, nodes)
+
+
+@pytest.mark.parametrize("n,k,t", [(6, 2, 1), (8, 3, 1), (8, 3, 2), (10, 4, 2), (9, 3, 3),
+                                   (10, 3, 1)])
+def test_t_family_sampler_matches_pool_sampler(n, k, t):
+    # equal families and an equal next draw: the rng saw the same calls
+    for i in range(60):
+        new, old = random.Random(f"tsample:{i}"), random.Random(f"tsample:{i}")
+        got = sample_saturated_t_family(n, k, t, new)
+        want = oracle.saturate_t_sweep(oracle.sample_t_draws(n, k, t, old), n, k, t)
+        assert list(got.members) == want
+        assert new.random() == old.random()
 
 
 def test_maximal_clique_counts():

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossfam import transversals
 from crossfam.families import (
     DomainError,
     Family,
     GroundSet,
+    VerificationError,
     distinct_intersections,
     full_layer,
     is_antichain,
@@ -29,8 +31,10 @@ from crossfam.transversals import (
     partition_by_basis,
     saturate_pair,
     saturate_t,
+    sets_above,
     transversal_family,
     upward_closure,
+    _ADJ_CAP,
 )
 
 import oracle_utils as oracle
@@ -147,6 +151,59 @@ def test_saturate_t_output_is_maximal(seed):
     for h in layer:
         if h not in members:
             assert any((h & m).bit_count() < t for m in closure.members)
+
+
+@pytest.mark.parametrize("n,k,j", [(6, 2, 1), (8, 3, 2), (9, 3, 3), (7, 4, 0), (6, 3, 4)])
+def test_sets_above_matches_definition(n, k, j):
+    masks = full_layer(GroundSet(n), k).members
+    up = sets_above(n, k, j)
+    assert list(up) == list(full_layer(GroundSet(n), j).members)
+    for d, bits in up.items():
+        assert bits == sum(1 << i for i, m in enumerate(masks) if m & d == d)
+
+
+def _t_families(n, k, t, count):
+    """Seeded t-intersecting families of up to 4 k-sets, drawn by the oracle sampler."""
+    return [oracle.sample_t_draws(n, k, t, random.Random(f"sat:{n}:{k}:{t}:{i}"), 4)
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("n,k,t", [(6, 2, 1), (8, 3, 1), (8, 3, 2), (10, 4, 2), (9, 3, 3)])
+def test_saturate_t_matches_sweep(n, k, t):
+    for members in _t_families(n, k, t, 40):
+        got = saturate_t(Family.from_masks(members, GroundSet(n), k), t)
+        assert list(got.members) == oracle.saturate_t_sweep(members, n, k, t)
+
+
+@pytest.mark.parametrize("n,k,t", [(6, 2, 1), (7, 3, 1), (7, 3, 2), (6, 3, 3)])
+def test_saturate_t_single_members_match_sweep(n, k, t):
+    for m in full_layer(GroundSet(n), k).members:
+        got = saturate_t(Family.from_masks([m], GroundSet(n), k), t)
+        assert list(got.members) == oracle.saturate_t_sweep([m], n, k, t)
+
+
+def test_saturate_t_matches_sweep_above_adjacency_cap():
+    assert comb(14, 5) > _ADJ_CAP
+    for members in _t_families(14, 5, 2, 2):
+        got = saturate_t(Family.from_masks(members, GroundSet(14), 5), 2)
+        assert list(got.members) == oracle.saturate_t_sweep(members, 14, 5, 2)
+
+
+def test_saturate_t_certificate_catches_a_dropped_row_bit(monkeypatch):
+    # {12, 13, 14} saturates to the star at 1; the first row asked for (that
+    # of 12) loses 15, so the greedy misses it and the fresh rows expose it
+    start = fam([(1, 2), (1, 3), (1, 4)], 6, k=2)
+    assert saturate_t(start, 1) == star(6, 2, [1])
+    dropped = ~(1 << list(full_layer(GroundSet(6), 2).members).index(0b10001))
+    real, calls = transversals.t_row, []
+
+    def drops_once(up, m, t):
+        calls.append(m)
+        return real(up, m, t) & (dropped if len(calls) == 1 else -1)
+
+    monkeypatch.setattr(transversals, "t_row", drops_once)
+    with pytest.raises(VerificationError, match="fixed point"):
+        saturate_t(start, 1)
 
 
 def test_basis_pair_star():
