@@ -215,17 +215,18 @@ def _grow(low: list[int], members: tuple[int, ...], seed: int, t: int,
                 continue
             chosen = _choose(pool, rng)
             free = chosen & ~smask
-            count = free.bit_count()
-            nodes += count
+            nodes += free.bit_count()
             if nodes > max_nodes:
                 raise NodeLimitExceeded(f"branching exceeded {max_nodes} nodes")
-            share = weight / count
-            groups.append((share, count))
+            share = weight / free.bit_count()
             chosen_sets += (chosen,)
             inherited = members if first else pool
+            before = len(nxt)
             for y in elements_of(free):
                 nxt.append((elements + (y,), share, chosen_sets, smask | 1 << (y - 1),
                             inherited))
+            # siblings share one weight: take it and their number from nxt itself
+            groups.append((nxt[-1][1], len(nxt) - before))
         retired += _weight_sum((s.weight, 1) for s in done)
         survivors += done
         frontier = nxt

@@ -31,7 +31,7 @@ from .families import (
     GroundSet,
     elements_of,
 )
-from .transversals import LayerContext, has_matching_of_size, layer_context, sets_above, t_row
+from .transversals import LayerContext, has_matching_of_size, layer_context, sets_above, t_rows
 from . import transversals
 
 OBJECTIVES = (
@@ -225,8 +225,8 @@ class _BudgetExceeded(Exception):
 
 def _maximal_cliques(ctx: LayerContext, t: int, budget: int | None):
     """Layer bitsets of the maximal t-intersecting subfamilies, and nodes."""
-    up = sets_above(ctx.ground.n, ctx.k, t)
-    neigh = [t_row(up, mask, t) & ~(1 << i) for i, mask in enumerate(ctx.masks)]
+    row = t_rows(ctx.ground.n, ctx.k, t)
+    neigh = [row(mask) & ~(1 << i) for i, mask in enumerate(ctx.masks)]
     out = []
     nodes = 0
 
@@ -419,8 +419,8 @@ def maximize(p: SearchProblem) -> SearchResult:
         raise DomainError(f"search needs n in 1..{MAX_GROUND}, got {p.n}")
     if p.k is not None and not 0 <= p.k <= p.n:
         raise DomainError(f"search needs 0 <= k <= n = {p.n}, got k = {p.k}")
-    if p.t is not None and not 1 <= p.t <= p.n:
-        raise DomainError(f"search needs 1 <= t <= n = {p.n}, got t = {p.t}")
+    if p.t is not None and p.t < 1:
+        raise DomainError(f"search needs t >= 1, got t = {p.t}")
     if p.budget is not None and p.budget < 1:
         raise DomainError(f"a search budget must be at least 1, got {p.budget}")
     if p.objective == "max_wedge_cross":
@@ -478,17 +478,15 @@ def sample_saturated_t_family(n: int, k: int, t: int, rng: random.Random,
     bitset (in mask order) of the k-sets meeting all drawn ones in >= t.
     """
     ctx = layer_context(n, k)
-    up = sets_above(n, k, t)
-    first = rng.choice(ctx.masks)
-    chosen = [first]
-    allowed = t_row(up, first, t) & ~(1 << ctx.index[first])
+    row = t_rows(n, k, t)
+    chosen = [rng.choice(ctx.masks)]
+    allowed = ctx.full_bits
     for _ in range(rng.randint(0, max_members - 1)):
+        allowed &= row(chosen[-1]) & ~(1 << ctx.index[chosen[-1]])
         pool = _indices(allowed)
         if not pool:
             break
-        i = rng.choice(pool)
-        chosen.append(ctx.masks[i])
-        allowed &= t_row(up, ctx.masks[i], t) & ~(1 << i)
+        chosen.append(ctx.masks[rng.choice(pool)])
     return transversals.saturate_t(Family.from_masks(chosen, ctx.ground, k), t)
 
 

@@ -5,8 +5,8 @@ branch-and-bound over bitmasks; instances are tiny by design.  Saturation
 of k-uniform pairs runs on a per-(n, k) layer context that precomputes,
 for every k-set, the bitset of k-sets meeting it, so that "all k-sets
 meeting every member of G" is a handful of big-integer ANDs.  Saturation
-of t-intersecting families ORs the rows ``sets_above(n, k, t)`` of a
-member's t-subsets, C(n, t) * C(n, k) bits: under 100 KB at every layer run.
+of t-intersecting families ORs the layer bitsets ``sets_above(n, k, t)`` of
+a member's t-subsets, C(n, t) * C(n, k) bits: under 100 KB at every layer run.
 """
 
 from __future__ import annotations
@@ -235,16 +235,8 @@ class LayerContext:
                 out &= self.adj[low.bit_length() - 1]
                 bits ^= low
             return out
-        chosen = []
-        while bits:
-            low = bits & -bits
-            chosen.append(self.masks[low.bit_length() - 1])
-            bits ^= low
-        res = 0
-        for i, m in enumerate(self.masks):
-            if all(m & c for c in chosen):
-                res |= 1 << i
-        return res
+        row = t_rows(self.ground.n, self.k, 1)
+        return reduce(and_, map(row, self.family_of(bits).members), out)
 
 
 @lru_cache(maxsize=None)
@@ -261,29 +253,49 @@ def layer_context(n: int, k: int) -> LayerContext:
     return LayerContext(ground, k, masks, index, adj, (1 << len(masks)) - 1)
 
 
+def _bits(m: int) -> list[int]:
+    """The one-bit masks of m, lowest first."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low)
+        m ^= low
+    return out
+
+
 @lru_cache(maxsize=None)
 def sets_above(n: int, k: int, j: int) -> dict[int, int]:
-    """Each j-set of [n], ascending by mask, to the bitset of the k-sets above it.
+    """Each j-subset d of a k-set of [n], ascending, to the layer bitset of the k-sets above d.
 
-    Bitsets are over layer_context(n, k).masks; the shared dict must not be
-    changed.  C(n, j) * C(n, k) bits: under 100 KB for n <= 12, k <= 4, j <= 3.
+    Shared, not to be changed.  At most min(C(n, j), C(n, k) * C(k, j)) keys
+    of C(n, k) bits, under 100 KB for n <= 12, k <= 4, j <= 3; none if j < 0.
     """
-    up = dict.fromkeys(full_layer(GroundSet(n), j).members, 0)
+    if j < 0:
+        return {}
+    up: dict[int, int] = {}
     for i, m in enumerate(layer_context(n, k).masks):
-        for d in combinations([1 << (e - 1) for e in elements_of(m)], j):
-            up[sum(d)] |= 1 << i  # distinct bits: their sum is their union
-    return up
+        for d in map(sum, combinations(_bits(m), j)):  # distinct bits: sum = union
+            up[d] = up.get(d, 0) | 1 << i
+    return dict(sorted(up.items()))
 
 
-def t_row(up: dict[int, int], m: int, t: int) -> int:
-    """Bitset of the k-sets meeting m in >= t elements, for up = sets_above(n, k, t)."""
-    row, d = 0, m  # scan the 2^k submasks of m: quicker than itertools for k <= 5
-    while True:
-        if d.bit_count() == t:
-            row |= up[d]
-        if not d:
-            return row
-        d = (d - 1) & m
+def t_rows(n: int, k: int, t: int):
+    """The map from a k-set m of [n] to the layer bitset of the k-sets sharing >= t with m.
+
+    It ORs the sets_above(n, k, t) rows of m's C(k, t) t-subsets, C(k, t) <= C(n, k)
+    once t > 2k - n: any two k-sets share 2k - n, so below that a row is the layer.
+    """
+    if t <= max(0, 2 * k - n):
+        full = layer_context(n, k).full_bits
+        return lambda m: full
+    up = sets_above(n, k, t)
+
+    def row(m: int) -> int:
+        out = 0
+        for d in combinations(_bits(m), t):
+            out |= up[sum(d)]
+        return out
+    return row
 
 
 def _uniformity_of_pair(f: Family, g: Family) -> int:
@@ -333,15 +345,15 @@ def saturate_t(f: Family, t: int) -> Family:
     if not is_t_intersecting(f, t):
         raise DomainError("input family is not t-intersecting")
     ctx = layer_context(f.ground.n, k)
-    up = sets_above(f.ground.n, k, t)
+    row = t_rows(f.ground.n, k, t)
     fb = ctx.bits_of(f.members)
-    cand = reduce(and_, (t_row(up, m, t) for m in f.members)) & ~fb
+    cand = reduce(and_, map(row, f.members)) & ~fb
     while cand:
         low = cand & -cand
         fb |= low
-        cand &= t_row(up, ctx.masks[low.bit_length() - 1], t) & ~low
+        cand &= row(ctx.masks[low.bit_length() - 1]) & ~low
     out = ctx.family_of(fb)
-    if reduce(and_, (t_row(up, m, t) for m in out.members)) & ~fb:
+    if reduce(and_, map(row, out.members)) & ~fb:
         raise VerificationError("saturate_t did not reach a fixed point")
     return out
 

@@ -10,6 +10,7 @@ from crossfam import __version__, cli
 from crossfam.cli import main
 from crossfam.families import (Family, GroundSet, NodeLimitExceeded, VerificationError,
                                families_from_text, families_to_text, family_from_text)
+from crossfam.transversals import sets_above
 
 
 def run_cli(capsys, *argv):
@@ -241,7 +242,6 @@ def test_branch_csv_and_text_use_dict_form(capsys, tmp_path):
     ("--objective", "I_antichain", "--n", "65"),
     ("--objective", "I_antichain"),
     ("--objective", "I_t_intersecting", "--n", "6", "--k", "2", "--t", "0"),
-    ("--objective", "I_t_intersecting", "--n", "6", "--k", "2", "--t", "7"),
 ])
 def test_search_bad_budget_or_size_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, "search", *argv)
@@ -255,6 +255,28 @@ def test_search_budget_still_accepted(capsys):
                            "--budget", "2000")
     assert code == 0
     assert json.loads(out)["result"]["nodes"] == 2000
+
+
+@pytest.mark.parametrize("n,t", [(30, 15), (40, 20)])
+def test_search_t_above_k_builds_no_t_set_table(capsys, n, t):
+    # no two 2-sets share t elements: every 2-set is its own maximal family
+    code, out, _ = run_cli(capsys, "search", "--objective", "I_t_intersecting",
+                           "--n", str(n), "--k", "2", "--t", str(t))
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert (res["value"], res["nodes"]) == ("0", n * (n - 1) // 2 + 1)
+    assert sets_above(n, 2, t) == {}
+
+
+def test_search_large_k_small_layer(capsys):
+    # 24-sets of [26] share >= 23 elements iff their complements meet, so the
+    # best family is a star of complements: C(25, 2) distinct intersections
+    code, out, _ = run_cli(capsys, "search", "--objective", "I_t_intersecting",
+                           "--n", "26", "--k", "24", "--t", "23")
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert res["value"] == "300"
+    assert len(res["witness"]) == 25
 
 
 def test_csv_format(capsys):

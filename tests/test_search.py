@@ -131,6 +131,16 @@ def test_maximal_clique_counts():
     assert sizes == [3, 5]
 
 
+def test_maximal_cliques_of_large_k_layers():
+    # 24-sets of [26] share >= 23 elements iff their complement pairs meet:
+    # 26 stars of 25 complements and C(26, 3) triangles
+    fams, _ = maximal_t_intersecting_families(26, 24, 23)
+    assert sorted(len(f) for f in fams) == [3] * comb(26, 3) + [25] * 26
+    # any two 18-sets of [20] share >= 16 elements: the layer is one clique
+    fams, _ = maximal_t_intersecting_families(20, 18, 16)
+    assert [len(f) for f in fams] == [comb(20, 2)]
+
+
 def test_max_I_antichain():
     res4 = maximize(SearchProblem("max_I_antichain", n=4))
     assert res4.exhaustive and res4.nodes_explored == 168

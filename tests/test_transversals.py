@@ -26,6 +26,7 @@ from crossfam.transversals import (
     covering_number,
     has_matching_of_size,
     matching_number,
+    layer_context,
     max_edges_without_matching,
     minimal_sets,
     partition_by_basis,
@@ -153,13 +154,24 @@ def test_saturate_t_output_is_maximal(seed):
             assert any((h & m).bit_count() < t for m in closure.members)
 
 
-@pytest.mark.parametrize("n,k,j", [(6, 2, 1), (8, 3, 2), (9, 3, 3), (7, 4, 0), (6, 3, 4)])
+@pytest.mark.parametrize("n,k,j", [(6, 2, 1), (8, 3, 2), (9, 3, 3), (7, 4, 0), (6, 3, 4),
+                                   (8, 4, 2)])
 def test_sets_above_matches_definition(n, k, j):
     masks = full_layer(GroundSet(n), k).members
     up = sets_above(n, k, j)
-    assert list(up) == list(full_layer(GroundSet(n), j).members)
+    assert list(up) == [d for d in full_layer(GroundSet(n), j).members
+                        if any(m & d == d for m in masks)]
     for d, bits in up.items():
         assert bits == sum(1 << i for i, m in enumerate(masks) if m & d == d)
+
+
+@pytest.mark.parametrize("n,k,t", [(26, 24, 12), (20, 18, 16), (6, 2, 0), (6, 2, -1)])
+def test_t_rows_of_a_complete_graph_need_no_table(monkeypatch, n, k, t):
+    # any two k-sets share >= 2k - n elements; C(24, 12) subsets a row would be slow
+    monkeypatch.setattr(transversals, "sets_above", None)
+    row = transversals.t_rows(n, k, t)
+    ctx = layer_context(n, k)
+    assert all(row(m) == ctx.full_bits for m in ctx.masks)
 
 
 def _t_families(n, k, t, count):
@@ -168,7 +180,8 @@ def _t_families(n, k, t, count):
             for i in range(count)]
 
 
-@pytest.mark.parametrize("n,k,t", [(6, 2, 1), (8, 3, 1), (8, 3, 2), (10, 4, 2), (9, 3, 3)])
+@pytest.mark.parametrize("n,k,t", [(6, 2, 1), (8, 3, 1), (8, 3, 2), (10, 4, 2), (9, 3, 3),
+                                   (26, 24, 23), (12, 9, 7)])
 def test_saturate_t_matches_sweep(n, k, t):
     for members in _t_families(n, k, t, 40):
         got = saturate_t(Family.from_masks(members, GroundSet(n), k), t)
@@ -189,19 +202,35 @@ def test_saturate_t_matches_sweep_above_adjacency_cap():
         assert list(got.members) == oracle.saturate_t_sweep(members, 14, 5, 2)
 
 
+def test_meet_all_above_adjacency_cap_matches_scan():
+    ctx = layer_context(14, 5)
+    assert ctx.adj is None
+    rng = random.Random("meet_all:14:5")
+    for _ in range(5):
+        picked = rng.sample(range(len(ctx.masks)), rng.randint(1, 4))
+        want = sum(1 << i for i, m in enumerate(ctx.masks)
+                   if all(m & ctx.masks[j] for j in picked))
+        assert ctx.meet_all(sum(1 << j for j in picked)) == want
+    assert ctx.meet_all(0) == ctx.full_bits
+
+
 def test_saturate_t_certificate_catches_a_dropped_row_bit(monkeypatch):
     # {12, 13, 14} saturates to the star at 1; the first row asked for (that
     # of 12) loses 15, so the greedy misses it and the fresh rows expose it
     start = fam([(1, 2), (1, 3), (1, 4)], 6, k=2)
     assert saturate_t(start, 1) == star(6, 2, [1])
     dropped = ~(1 << list(full_layer(GroundSet(6), 2).members).index(0b10001))
-    real, calls = transversals.t_row, []
+    real, calls = transversals.t_rows, []
 
-    def drops_once(up, m, t):
-        calls.append(m)
-        return real(up, m, t) & (dropped if len(calls) == 1 else -1)
+    def drops_once(n, k, t):
+        row = real(n, k, t)
 
-    monkeypatch.setattr(transversals, "t_row", drops_once)
+        def dropping_row(m):
+            calls.append(m)
+            return row(m) & (dropped if len(calls) == 1 else -1)
+        return dropping_row
+
+    monkeypatch.setattr(transversals, "t_rows", drops_once)
     with pytest.raises(VerificationError, match="fixed point"):
         saturate_t(start, 1)
 
