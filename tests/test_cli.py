@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -293,3 +294,94 @@ def test_text_format(capsys):
                            "--n", "6", "--k", "2", "--t", "1", "--format", "text")
     assert code == 0
     assert "value: 3" in out
+
+
+def strip_timing(text: str) -> str:
+    return re.sub(r', "seconds": [0-9.e+-]+', "", strip_timestamp(text))
+
+
+# sha256 of each report with its timestamp and per-criterion seconds removed;
+# a refactor that changes any byte of these reports fails here
+GOLDEN_REPORTS = [
+    ("construct --name star --n 6 --k 3 --param T=1,2",
+     "404daac2a58f72bf827d938c847fded429be3d8dbf60a9c9395d89fe17959414"),
+    ("construct --name A1 --n 8 --k 3",
+     "f89031c1581e05d40ffe5a820154cee7955df68085e5dbab3198e926d5c63e6e"),
+    ("construct --name A2 --n 8 --k 3",
+     "a59377a8313cf5951a7fb76f1c0ac1808e7e33542313a997c0e54c04c368caf7"),
+    ("construct --name A3 --n 7 --k 3",
+     "e9898305d9e3e900a9f5b37a08b22ac75b1af32efb9d3e50a747b759de0c8254"),
+    ("construct --name Ankt --n 8 --k 3 --t 1",
+     "cf6069b762b64b7945ba6708c0ed8bc6c825928e266cdcf226add466e1c5dece"),
+    ("construct --name prop21_tight --n 8 --k 3",
+     "ba7e8dae178a68216c4642cd0112aaf397d1b344215f63855c545388abebe541"),
+    ("construct --name antichain_52 --n 6",
+     "a7ecad8aa99b6aadd9645aef14d9bbc450518e3aff3db22899372ae8d66f4afd"),
+    ("construct --name cross_sperner_54 --n 5 --param X=1,2",
+     "7812e43bde15e4166ba0f6c0e3b316a019d5fe70cc6b87976e6be2e0f1a49d9b"),
+    ("eval --id binom --n 10 --k 4",
+     "59936017ac26a9891bf5ab65d474d7e02dc307160d9932d2c6e7e72d4104ddb1"),
+    ("eval --id partial_sum --n 10 --k 4",
+     "d12650294ed70b6e5a3b69a56e82ba9fe7476927833c83765806bc1921515451"),
+    ("eval --id wedge_star_13 --n 8 --k 3",
+     "de5a654287f7426f94b2b835a96598855975b054aa02e09e83e95e4e22883862"),
+    ("eval --id I_A1A2_15 --n 7 --k 3",
+     "2707c14f577f666fcd40e9040927a211a7a3f4d66841e72385a1e7071ff4139b"),
+    ("eval --id I_Ankt_17 --n 8 --k 3 --t 1",
+     "948e9e889a6d57bab0acf7c02d110da3073f62fc7b1345013748db8445d553f3"),
+    ("eval --id I_A3_case31 --n 8 --k 3",
+     "3887a9217d253b6349fd706601703f25971e1abfc4c6899b5dd6b2510987e280"),
+    ("eval --id lemma22_rhs --n 10 --k 4",
+     "d4535dcb3a49f7c3271b6ef0aae24a4aea15a34bd431bd828a549929fb87c333"),
+    ("eval --id lemma33_rhs --n 10 --k 4",
+     "fe59de61d0faa13e3568c8d0776bc870a5bd4db3fef78f719363b7dc25ecdb42"),
+    ("eval --id cor34_rhs --n 10 --k 4",
+     "3bf0e618e351f8fbf057ff577991720d7df6e1bae3f19b73959ed2b3129a8c8e"),
+    ("eval --id ekr_bound --n 10 --k 3",
+     "87e5f98f869a7a418f35a76d6c3a456a540cef237a1ccc99583b9013fe7ef4d9"),
+    ("eval --id hm_bound --n 10 --k 3",
+     "b26088821d6a569131a4d3bebf3b4583176af34c2d8816b7540f7ee325720ff0"),
+    ("eval --id pyber_bound --n 10 --k 3",
+     "c1ad1e59d31251ea427f1d55a81e9688dede132858309510e4bc62a9208116a4"),
+    ("eval --id emc_bound --n 10 --k 3 --nu 4",
+     "b466138f0efc0dff43835522d43150b4bd2c6ae3c13e06f7d033494b541a637f"),
+    ("eval --id I_star_t --n 8 --k 3 --t 1",
+     "9c2919bb5261a422df313df626fc5a21d3b0267e95179d564b015abbf6747059"),
+    ("eval --id f_cross --n 12 --k 4 --l 3",
+     "0eb41c21197b1ac8d78e5a5fdd47d1679dbfb9e54f75fcb3f253a36559a8a08a"),
+    ("eval --id f_t --n 12 --k 4 --t 1 --l 3",
+     "441c4ef86f9179ec6aa78dba600df557afde8d447a0a95fdc2cf9563999c9ac9"),
+    ("eval --id m_even_55 --n 6",
+     "964c41532e9bdb9a452703cb4515a2c8eb79e2a918a97b7e6d84c0c318510376"),
+    ("eval --id example52 --n 9",
+     "d7979f986b6c14dade6e187359cc317332531f22b85b70c8d46e6760335461d7"),
+    ("eval --id m_odd_conjecture --n 7",
+     "36049a1a39f4493e1b8bc92e1007e4afcb09bdd4f075f6bfee9c1998efb9eca5"),
+    ("search --objective wedge_cross --n 4 --k 2",
+     "eefa80dc737d874871a4c504e99ca52711d92bc593e497208858289e19517924"),
+    ("search --objective I_cross --n 5 --k 2",
+     "216b914aec9e099ba74360f049d654a208a9f56548e37a25212548bee9e9765a"),
+    ("search --objective I_t_intersecting --n 6 --k 2 --t 1",
+     "fe477cb134c0a376ddaa0d407402ebfc8102afffb5dede3001011708f535957a"),
+    ("search --objective I_t_intersecting --n 7 --k 4 --t 2",
+     "a5ecb83d2fde70a89c09ef9873dc5499b1ae3afa37e1d475c0860f20e1155c8e"),
+    ("search --objective I_antichain --n 4",
+     "7acc57a2dbde76e6b06735eebe3e658d7ed9841b449aee5b103ec0a28ff207be"),
+    ("search --objective I_antichain --n 6 --budget 500",
+     "74eb23726ffd710fd4503a1109b892018c9808f2fd022e34e55d8c0407c6fae8"),
+    ("search --objective cross_sperner --n 4",
+     "24aa09c50c3f3b13da71bb20d1da888806e9e69da2784073a5059ba937ff5dab"),
+    ("search --objective cross_sperner --n 5 --budget 2000",
+     "8031b6f7d7c56d2531e06d03646cecbc54069d22dfdbc090d26cb71bc4db4ebe"),
+    ("check --name inequality_grid --n 30 --k 6",
+     "b44a11257a9439fbd467ae59de3014fc12370d545660f13352623d85b0c74b58"),
+    ("verify-all --criteria 8,9,10,11",
+     "eeac513163946792a29f40113b06d356af0ad0ad2b42c365f62fb6bedc94eb1a"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_REPORTS, ids=[a for a, _ in GOLDEN_REPORTS])
+def test_golden_report_digests(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(strip_timing(out).encode()).hexdigest() == digest

@@ -218,3 +218,68 @@ def test_star_partner_bound_dominates_enumeration():
         f, g = saturate_pair(s1, s1)
         got = brute_count("I_pair", f, g)
         assert got <= eval_formula("cor34_rhs", n=n, k=k)
+
+
+# one inadmissible tuple per formula with a domain check (both checks of
+# I_A1A2_15), then a missing, a non-integer and an unknown-id case
+DOMAIN_MESSAGES = [
+    ('binom', {'n': -1, 'k': 0},
+     'binomial needs n >= 0, got n=-1'),
+    ('partial_sum', {'n': -2, 'k': 1},
+     'partial_sum needs n >= 0 for a nonempty sum, got n=-2'),
+    ('wedge_star_13', {'n': 3, 'k': 4},
+     'need 1 <= k <= n, got n=3 k=4'),
+    ('I_A1A2_15', {'n': 7, 'k': 1},
+     'need k >= 2, got k=1'),
+    ('I_A1A2_15', {'n': 5, 'k': 3},
+     'need n >= 6 at k=3, got n=5'),
+    ('I_A1A2_15', {'n': 3, 'k': 2},
+     'need n >= 4 at k=2, got n=3'),
+    ('I_Ankt_17', {'n': 8, 'k': 3, 't': 3},
+     'need t >= 1, k > t, n >= max(k, t+2); got n=8 k=3 t=3'),
+    ('I_A3_case31', {'n': 8, 'k': 1},
+     'need k >= 2, n >= max(k, 3); got n=8 k=1'),
+    ('lemma22_rhs', {'n': 1, 'k': 1},
+     'need k >= 1, n >= 2; got n=1 k=1'),
+    ('lemma33_rhs', {'n': 0, 'k': 1},
+     'need k >= 1, n >= 1; got n=0 k=1'),
+    ('cor34_rhs', {'n': 5, 'k': 0},
+     'need k >= 1, n >= 2; got n=5 k=0'),
+    ('ekr_bound', {'n': 5, 'k': 0},
+     'need 1 <= k <= n, got n=5 k=0'),
+    ('hm_bound', {'n': 6, 'k': 3},
+     'need k >= 2, n > 2k; got n=6 k=3'),
+    ('pyber_bound', {'n': 2, 'k': 3},
+     'need 1 <= k <= n, got n=2 k=3'),
+    ('emc_bound', {'n': 10, 'k': 3, 'nu': -1},
+     'need 1 <= k <= n, nu >= 0; got n=10 k=3 nu=-1'),
+    ('I_star_t', {'n': 8, 'k': 3, 't': 4},
+     'need 1 <= t <= k <= n; got n=8 k=3 t=4'),
+    ('f_cross', {'n': 8, 'k': 3, 'l': 1},
+     'need 2 <= l <= k, n >= 1; got n=8 k=3 l=1'),
+    ('f_t', {'n': 8, 'k': 3, 't': 2, 'l': 2},
+     'need t >= 1, t+1 <= l <= k, n >= t; got n=8 k=3 t=2 l=2'),
+    ('m_even_55', {'n': 5},
+     'need even n >= 2, got n=5'),
+    ('example52', {'n': 0},
+     'need n >= 1, got n=0'),
+    ('m_odd_conjecture', {'n': 4},
+     'need odd n >= 1, got n=4'),
+    ('I_Ankt_17', {'n': 8, 'k': 3},
+     "missing parameter 't'"),
+    ('binom', {'n': '5', 'k': 2},
+     "parameter 'n' must be an integer, got '5'"),
+    ('binom', {'n': True, 'k': 2},
+     "parameter 'n' must be an integer, got True"),
+    ('f_t', {'n': 8, 'k': 3, 't': None, 'l': 2},
+     "missing parameter 't'"),
+    ('no_such_formula', {'n': 1},
+     "unknown formula id 'no_such_formula'"),
+]
+
+
+@pytest.mark.parametrize("fid, params, message", DOMAIN_MESSAGES)
+def test_formula_domain_messages_pinned(fid, params, message):
+    with pytest.raises(DomainError) as err:
+        eval_formula(fid, **params)
+    assert str(err.value) == message
