@@ -183,7 +183,10 @@ def smallest_branching_level(b: Family, t: int = 1) -> int | None:
 
 def _grow(low: list[int], members: tuple[int, ...], seed: int, t: int,
           rng: random.Random | None, max_nodes: int):
-    """Run the t-process from the t-subsets of seed; return survivors, survivor sets.
+    """Run the t-process from the t-subsets of seed.
+
+    Returns the survivors, their set masks and their total weight, which the
+    last round has checked to be exactly 1.
 
     The first extension draws from low, every later one from members.
     """
@@ -203,7 +206,7 @@ def _grow(low: list[int], members: tuple[int, ...], seed: int, t: int,
         if total != 1:
             raise VerificationError(f"live weight is {total} mid-run, expected exactly 1")
         if not frontier:
-            return survivors, survivor_sets
+            return survivors, survivor_sets, total
         nxt = []
         groups = []
         done = []
@@ -233,20 +236,22 @@ def _grow(low: list[int], members: tuple[int, ...], seed: int, t: int,
         first = False
 
 
-def _finish_report(survivors, survivor_sets: set[int], cover: Family, t: int, k: int,
-                   r: int, strict: bool) -> BranchReport:
-    """Check the survivors, with element masks survivor_sets, against cover's levels >= r.
+def _finish_report(survivors, survivor_sets: set[int], total: Fraction, cover: Family,
+                   t: int, k: int, r: int, strict: bool) -> BranchReport:
+    """Check the survivors, with element masks survivor_sets and verified total
+    weight, against cover's levels >= r.
 
     Level l weighs 1/(C(l, t) l k^(l-t-1)): the floor of a level-l survivor,
     and each level-l member's share of the inequality's left-hand side.
     """
-    total = _weight_sum((s.weight, 1) for s in survivors)
     level_counts: dict[int, int] = {}
+    # survivors carry few distinct (level, weight) pairs: compare each once
+    level_weights = set()
     for s in survivors:
-        level_counts[len(s.elements)] = level_counts.get(len(s.elements), 0) + 1
-
-    if total != 1:
-        raise VerificationError(f"total survivor weight is {total}, expected exactly 1")
+        level = len(s.elements)
+        level_counts[level] = level_counts.get(level, 0) + 1
+        if level >= r:
+            level_weights.add((level, s.weight.numerator, s.weight.denominator))
 
     def level_weight(l: int) -> Fraction:
         return Fraction(1, comb(l, t) * l * k ** (l - t - 1))
@@ -259,9 +264,6 @@ def _finish_report(survivors, survivor_sets: set[int], cover: Family, t: int, k:
                       for level, masks in cover_levels.items() if level >= r
                       for m in masks)
 
-    # survivors carry few distinct (level, weight) pairs: compare each once
-    level_weights = {(len(s.elements), s.weight.numerator, s.weight.denominator)
-                     for s in survivors if len(s.elements) >= r}
     weight_bound_ok = all(Fraction(p, q) >= level_weight(l) for l, p, q in level_weights)
 
     lam = {level: len(masks) * level_weight(level)

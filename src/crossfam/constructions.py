@@ -1,33 +1,21 @@
 """Named extremal families and counterexample gadgets, built exactly.
 
 The CLI-facing names (star, A1, A2, A3, Ankt, prop21_tight, antichain_52,
-cross_sperner_54) are stable identifiers; the functions carry descriptive
-names.  Pair-valued constructions return (Family, Family).
+cross_sperner_54) are stable identifiers, the keys of the ``_CONSTRUCTIONS``
+table; the functions carry descriptive names.  Pair-valued constructions
+return (Family, Family).  ``construct`` validates integer parameters as the
+formulas do (``formulas._need``), and ``verify_construction`` reports the
+first member or member pair, in scan order, that breaks the advertised
+property.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
-from .families import (
-    DomainError,
-    Family,
-    GroundSet,
-    elements_of,
-    full_layer,
-    is_antichain,
-    is_cross_intersecting,
-    is_cross_sperner,
-    is_t_intersecting,
-    mask_of,
-)
-
-CONSTRUCTION_NAMES = (
-    "star", "A1", "A2", "A3", "Ankt", "prop21_tight", "antichain_52",
-    "cross_sperner_54",
-)
-
+from .families import DomainError, Family, GroundSet, elements_of, full_layer, mask_of
+from .formulas import _need
 
 def star(n: int, k: int, center) -> Family:
     """All k-sets of [n] containing the fixed set `center`."""
@@ -152,94 +140,59 @@ class ConstructionSpec:
         return construct(self.name, self.params)
 
 
-def _int_param(params: dict, name: str) -> int:
-    if name not in params or params[name] is None:
-        raise DomainError(f"construction needs parameter {name!r}")
-    v = params[name]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise DomainError(f"parameter {name!r} must be an integer, got {v!r}")
-    return v
+# name -> (integer parameter names, set-valued parameter or None, builder);
+# the builder takes the integers positionally in that order, then the set
+_CONSTRUCTIONS = {
+    "star": (("n", "k"), "T", star),
+    "A1": (("n", "k"), None, lambda n, k: four_star_pair(n, k)[0]),
+    "A2": (("n", "k"), None, lambda n, k: four_star_pair(n, k)[1]),
+    "A3": (("n", "k"), None, triangle_family),
+    "Ankt": (("n", "k", "t"), None, window_family),
+    "prop21_tight": (("n", "k"), None, four_core_pair),
+    "antichain_52": (("n",), None, top_layer_antichain),
+    "cross_sperner_54": (("n",), "X", split_cross_sperner_pair),
+}
+
+CONSTRUCTION_NAMES = tuple(_CONSTRUCTIONS)
 
 
 def construct(name: str, params: dict):
     """Build a named construction; returns a Family or a (Family, Family) pair."""
-    if name == "star":
-        center = params.get("T")
-        if center is None:
-            raise DomainError("star needs parameter 'T'")
-        return star(_int_param(params, "n"), _int_param(params, "k"), center)
-    if name in ("A1", "A2"):
-        pair = four_star_pair(_int_param(params, "n"), _int_param(params, "k"))
-        return pair[0] if name == "A1" else pair[1]
-    if name == "A3":
-        return triangle_family(_int_param(params, "n"), _int_param(params, "k"))
-    if name == "Ankt":
-        return window_family(_int_param(params, "n"), _int_param(params, "k"),
-                             _int_param(params, "t"))
-    if name == "prop21_tight":
-        return four_core_pair(_int_param(params, "n"), _int_param(params, "k"))
-    if name == "antichain_52":
-        return top_layer_antichain(_int_param(params, "n"))
-    if name == "cross_sperner_54":
-        x = params.get("X")
-        if x is None:
-            raise DomainError("cross_sperner_54 needs parameter 'X'")
-        return split_cross_sperner_pair(_int_param(params, "n"), x)
-    raise DomainError(f"unknown construction {name!r}")
+    entry = _CONSTRUCTIONS.get(name)
+    if entry is None:
+        raise DomainError(f"unknown construction {name!r}")
+    names, set_name, builder = entry
+    sets = ()
+    if set_name is not None:
+        if params.get(set_name) is None:
+            raise DomainError(f"{name} needs parameter {set_name!r}")
+        sets = (params[set_name],)
+    return builder(*_need(params, *names), *sets)
+
+
+def _comparable(a: int, b: int) -> bool:
+    return a & b in (a, b)
 
 
 def verify_construction(name: str, params: dict) -> dict:
-    """Run the advertised predicate of a construction; report a witness on failure."""
+    """Run the advertised predicate of a construction; report a witness on failure.
+
+    The witness is the first member (star) or member pair, in scan order,
+    that breaks the predicate.
+    """
     built = construct(name, params)
-    ok = True
-    witness = None
-
-    def fail(*sets) -> None:
-        nonlocal ok, witness
-        ok = False
-        witness = [list(elements_of(m)) for m in sets]
-
+    if name in ("A1", "A2"):
+        built = four_star_pair(*_need(params, "n", "k"))
     if name == "star":
-        t_mask = mask_of(params["T"])
-        for m in built.members:
-            if m & t_mask != t_mask:
-                fail(m)
-                break
-    elif name in ("A1", "A2", "prop21_tight"):
-        pair = (four_star_pair(_int_param(params, "n"), _int_param(params, "k"))
-                if name in ("A1", "A2")
-                else built)
-        f, g = pair
-        if not is_cross_intersecting(f, g):
-            for a in f.members:
-                for b in g.members:
-                    if not a & b:
-                        fail(a, b)
-                        break
-                if not ok:
-                    break
+        center = mask_of(params["T"])
+        scan, bad = ((m,) for m in built.members), lambda m: m & center != center
     elif name in ("A3", "Ankt"):
-        t = 1 if name == "A3" else _int_param(params, "t")
-        if not is_t_intersecting(built, t):
-            for a in built.members:
-                for b in built.members:
-                    if (a & b).bit_count() < t:
-                        fail(a, b)
-                        break
-                if not ok:
-                    break
+        t = 1 if name == "A3" else params["t"]
+        scan, bad = product(built.members, repeat=2), lambda a, b: (a & b).bit_count() < t
     elif name == "antichain_52":
-        if not is_antichain(built):
-            ok = False
-    elif name == "cross_sperner_54":
-        f, g = built
-        if not is_cross_sperner(f, g):
-            for a in f.members:
-                for b in g.members:
-                    ab = a & b
-                    if ab == a or ab == b:
-                        fail(a, b)
-                        break
-                if not ok:
-                    break
-    return {"name": name, "params": dict(params), "ok": ok, "witness": witness}
+        scan, bad = combinations(built.members, 2), _comparable
+    else:
+        scan = product(built[0].members, built[1].members)
+        bad = _comparable if name == "cross_sperner_54" else lambda a, b: not a & b
+    witness = next(([list(elements_of(m)) for m in sets] for sets in scan if bad(*sets)), None)
+    return {"name": name, "params": dict(params), "ok": witness is None, "witness": witness}

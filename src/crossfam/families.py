@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_GROUND = 64
 
@@ -169,11 +169,28 @@ def _require_same_ground(f: Family, g: Family) -> None:
         raise DomainError(f"mismatched ground sets: n={f.ground.n} vs n={g.ground.n}")
 
 
+def _intersections(xs: Sequence[int], ys: Sequence[int], distinct: bool = False) -> set[int]:
+    """The set of a & b over a in xs and b in ys; with distinct, over a != b only.
+
+    The counting kernel behind every |F wedge G| and |I(F, G)| in the package
+    (brute_count stays apart as the independent oracle).  When xs is ys, a
+    duplicate-free sequence, it walks the unordered pairs once and adds the
+    members themselves (a & a) unless distinct.
+    """
+    if xs is ys:
+        out = {a & b for a, b in combinations(xs, 2)}
+        if not distinct:
+            out.update(xs)
+        return out
+    if distinct:
+        return {a & b for a in xs for b in ys if a != b}
+    return {a & b for a in xs for b in ys}
+
+
 def wedge(f: Family, g: Family) -> Family:
     """All pairwise intersections, identical members included."""
     _require_same_ground(f, g)
-    inter = {a & b for a in f.members for b in g.members}
-    return Family.from_masks(inter, f.ground)
+    return Family.from_masks(_intersections(f.members, g.members), f.ground)
 
 
 def distinct_intersections(f: Family, g: Family) -> Family:
@@ -182,8 +199,7 @@ def distinct_intersections(f: Family, g: Family) -> Family:
     With f == g this is the usual "distinct intersections of a family".
     """
     _require_same_ground(f, g)
-    inter = {a & b for a in f.members for b in g.members if a != b}
-    return Family.from_masks(inter, f.ground)
+    return Family.from_masks(_intersections(f.members, g.members, distinct=True), f.ground)
 
 
 def common_members(f: Family, g: Family) -> Family:

@@ -6,7 +6,11 @@ floating point.  Binomial sums with a negative upper index follow the empty
 sum convention and evaluate to 0.
 
 Formula and inequality identifiers are stable strings used verbatim by the
-command line interface.
+command line interface.  Each is a key of an id-keyed table (``_FORMULAS``,
+``_INEQUALITIES``) whose entry holds the parameter names, a domain
+predicate, the statement a refused tuple is reported with, and the kernel;
+``eval_formula`` and ``check_inequality`` share one lookup, validation and
+call path, and FORMULA_IDS and INEQUALITY_IDS are the tables' keys.
 """
 
 from __future__ import annotations
@@ -15,15 +19,6 @@ from functools import lru_cache
 from math import comb
 
 from .families import DomainError
-
-FORMULA_IDS = (
-    "binom", "partial_sum", "wedge_star_13", "I_A1A2_15", "I_Ankt_17",
-    "I_A3_case31", "lemma22_rhs", "lemma33_rhs", "cor34_rhs", "ekr_bound",
-    "hm_bound", "pyber_bound", "emc_bound", "I_star_t", "f_cross", "f_t",
-    "m_even_55", "example52", "m_odd_conjecture",
-)
-
-INEQUALITY_IDS = ("ineq_1_7", "ineq_1_8", "ineq_1_9", "ineq_1_10")
 
 
 def binomial(n: int, k: int) -> int:
@@ -64,110 +59,92 @@ def _need(params: dict, *names: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check(cond: bool, msg: str) -> None:
-    if not cond:
-        raise DomainError(msg)
+def _i_a1a2_15(n: int, k: int) -> int:
+    # the domain depends on k (the triple-stars are empty at k = 2), so the
+    # kernel checks it itself
+    if k < 2:
+        raise DomainError(f"need k >= 2, got k={k}")
+    if n < (6 if k >= 3 else 4):
+        raise DomainError(f"need n >= {6 if k >= 3 else 4} at k={k}, got n={n}")
+    return (4 * partial_sum(n - 4, k - 2)
+            + 6 * partial_sum(n - 4, k - 3)
+            + 4 * partial_sum(n - 4, k - 4)
+            + partial_sum(n - 4, k - 5)
+            + 2 * partial_sum(n - 6, k - 3)
+            + partial_sum(n - 6, k - 4))
 
 
-def eval_formula(formula_id: str, **params: int) -> int:
-    """Evaluate one of the catalogued closed forms at integer parameters."""
-    fid = formula_id
-    if fid == "binom":
-        n, k = _need(params, "n", "k")
-        return binomial(n, k)
-    if fid == "partial_sum":
-        n, k = _need(params, "n", "k")
-        return partial_sum(n, k)
-    if fid == "wedge_star_13":
-        n, k = _need(params, "n", "k")
-        _check(1 <= k <= n, f"need 1 <= k <= n, got n={n} k={k}")
-        return partial_sum(n - 1, k - 1)
-    if fid == "I_A1A2_15":
-        n, k = _need(params, "n", "k")
-        _check(k >= 2, f"need k >= 2, got k={k}")
-        _check(n >= (6 if k >= 3 else 4), f"need n >= {6 if k >= 3 else 4} at k={k}, got n={n}")
-        return (4 * partial_sum(n - 4, k - 2)
-                + 6 * partial_sum(n - 4, k - 3)
-                + 4 * partial_sum(n - 4, k - 4)
-                + partial_sum(n - 4, k - 5)
-                + 2 * partial_sum(n - 6, k - 3)
-                + partial_sum(n - 6, k - 4))
-    if fid == "I_Ankt_17":
-        n, k, t = _need(params, "n", "k", "t")
-        _check(t >= 1 and k >= t + 1 and n >= max(k, t + 2),
-               f"need t >= 1, k > t, n >= max(k, t+2); got n={n} k={k} t={t}")
-        return (binomial(t + 2, t) * partial_sum(n - t - 2, k - t - 1)
-                + binomial(t + 2, t + 1) * partial_sum(n - t - 2, k - t - 2)
-                + partial_sum(n - t - 2, k - t - 3))
-    if fid == "I_A3_case31":
-        n, k = _need(params, "n", "k")
-        _check(k >= 2 and n >= max(k, 3), f"need k >= 2, n >= max(k, 3); got n={n} k={k}")
-        return (3 * partial_sum(n - 3, k - 2)
-                + 3 * partial_sum(n - 3, k - 3)
-                + partial_sum(n - 3, k - 4))
-    if fid == "lemma22_rhs":
-        n, k = _need(params, "n", "k")
-        _check(k >= 1 and n >= 2, f"need k >= 1, n >= 2; got n={n} k={k}")
-        return 2 * partial_sum(n - 2, k - 1) + partial_sum(n - 2, k - 2)
-    if fid == "lemma33_rhs":
-        n, k = _need(params, "n", "k")
-        _check(k >= 1 and n >= 1, f"need k >= 1, n >= 1; got n={n} k={k}")
-        return (2 * binomial(n - 1, k - 2)
-                + (2 * k + 1) * binomial(n - 1, k - 3)
-                + partial_sum(n, k - 3))
-    if fid == "cor34_rhs":
-        n, k = _need(params, "n", "k")
-        _check(k >= 1 and n >= 2, f"need k >= 1, n >= 2; got n={n} k={k}")
-        return (2 * partial_sum(n - 1, k - 2)
-                + binomial(n - 2, k - 2)
-                + (2 * k + 1) * binomial(n - 2, k - 3))
-    if fid == "ekr_bound":
-        n, k = _need(params, "n", "k")
-        _check(1 <= k <= n, f"need 1 <= k <= n, got n={n} k={k}")
-        return binomial(n - 1, k - 1)
-    if fid == "hm_bound":
-        n, k = _need(params, "n", "k")
-        _check(k >= 2 and n > 2 * k, f"need k >= 2, n > 2k; got n={n} k={k}")
-        return binomial(n - 1, k - 1) - binomial(n - k - 1, k - 1) + 1
-    if fid == "pyber_bound":
-        n, k = _need(params, "n", "k")
-        _check(1 <= k <= n, f"need 1 <= k <= n, got n={n} k={k}")
-        return binomial(n - 1, k - 1) ** 2
-    if fid == "emc_bound":
-        n, k, nu = _need(params, "n", "k", "nu")
-        _check(1 <= k <= n and nu >= 0, f"need 1 <= k <= n, nu >= 0; got n={n} k={k} nu={nu}")
-        return nu * binomial(n - 1, k - 1)
-    if fid == "I_star_t":
-        n, k, t = _need(params, "n", "k", "t")
-        _check(1 <= t <= k <= n, f"need 1 <= t <= k <= n; got n={n} k={k} t={t}")
-        return partial_sum(n - t, k - t - 1)
-    if fid == "f_cross":
-        n, k, l = _need(params, "n", "k", "l")
-        _check(2 <= l <= k and n >= 1, f"need 2 <= l <= k, n >= 1; got n={n} k={k} l={l}")
-        return (2 ** l) * l * l * (k ** (l - 2)) * partial_sum(n - 1, k - l)
-    if fid == "f_t":
-        n, k, t, l = _need(params, "n", "k", "t", "l")
-        _check(t >= 1 and t + 1 <= l <= k and n >= t,
-               f"need t >= 1, t+1 <= l <= k, n >= t; got n={n} k={k} t={t} l={l}")
-        return (_tail_sum(l, t, l) * binomial(l, t) * l * (k ** (l - t - 1))
-                * partial_sum(n - t, k - l))
-    if fid == "m_even_55":
-        (n,) = _need(params, "n")
-        _check(n >= 2 and n % 2 == 0, f"need even n >= 2, got n={n}")
-        return 2 ** n - 2 * 2 ** (n // 2) + 1
-    if fid == "example52":
-        (n,) = _need(params, "n")
-        _check(n >= 1, f"need n >= 1, got n={n}")
-        ell = n // 3
-        # count of sets B with n - 2*ell <= |B| < n - ell; the layer at
-        # n - 2*ell is included exactly once
-        return _tail_sum(n, n - 2 * ell, n - ell - 1)
-    if fid == "m_odd_conjecture":
-        (n,) = _need(params, "n")
-        _check(n >= 1 and n % 2 == 1, f"need odd n >= 1, got n={n}")
-        d = (n - 1) // 2
-        return 2 ** n - 2 ** (d + 1) - 2 ** d + 1
-    raise DomainError(f"unknown formula id {formula_id!r}")
+def _i_ankt_17(n: int, k: int, t: int) -> int:
+    return (binomial(t + 2, t) * partial_sum(n - t - 2, k - t - 1)
+            + binomial(t + 2, t + 1) * partial_sum(n - t - 2, k - t - 2)
+            + partial_sum(n - t - 2, k - t - 3))
+
+
+def _example52(n: int) -> int:
+    ell = n // 3
+    # count of sets B with n - 2*ell <= |B| < n - ell; the layer at
+    # n - 2*ell is included exactly once
+    return _tail_sum(n, n - 2 * ell, n - ell - 1)
+
+
+# id -> (parameter names, domain predicate or None, domain statement, kernel);
+# the predicate and the kernel take the parameters positionally in that order
+_FORMULAS = {
+    "binom": (("n", "k"), None, "", binomial),
+    "partial_sum": (("n", "k"), None, "", partial_sum),
+    "wedge_star_13": (
+        ("n", "k"), lambda n, k: 1 <= k <= n, "need 1 <= k <= n,",
+        lambda n, k: partial_sum(n - 1, k - 1)),
+    "I_A1A2_15": (("n", "k"), None, "", _i_a1a2_15),
+    "I_Ankt_17": (
+        ("n", "k", "t"), lambda n, k, t: t >= 1 and k >= t + 1 and n >= max(k, t + 2),
+        "need t >= 1, k > t, n >= max(k, t+2);", _i_ankt_17),
+    "I_A3_case31": (
+        ("n", "k"), lambda n, k: k >= 2 and n >= max(k, 3), "need k >= 2, n >= max(k, 3);",
+        lambda n, k: (3 * partial_sum(n - 3, k - 2) + 3 * partial_sum(n - 3, k - 3)
+                      + partial_sum(n - 3, k - 4))),
+    "lemma22_rhs": (
+        ("n", "k"), lambda n, k: k >= 1 and n >= 2, "need k >= 1, n >= 2;",
+        lambda n, k: 2 * partial_sum(n - 2, k - 1) + partial_sum(n - 2, k - 2)),
+    "lemma33_rhs": (
+        ("n", "k"), lambda n, k: k >= 1 and n >= 1, "need k >= 1, n >= 1;",
+        lambda n, k: (2 * binomial(n - 1, k - 2) + (2 * k + 1) * binomial(n - 1, k - 3)
+                      + partial_sum(n, k - 3))),
+    "cor34_rhs": (
+        ("n", "k"), lambda n, k: k >= 1 and n >= 2, "need k >= 1, n >= 2;",
+        lambda n, k: (2 * partial_sum(n - 1, k - 2) + binomial(n - 2, k - 2)
+                      + (2 * k + 1) * binomial(n - 2, k - 3))),
+    "ekr_bound": (
+        ("n", "k"), lambda n, k: 1 <= k <= n, "need 1 <= k <= n,",
+        lambda n, k: binomial(n - 1, k - 1)),
+    "hm_bound": (
+        ("n", "k"), lambda n, k: k >= 2 and n > 2 * k, "need k >= 2, n > 2k;",
+        lambda n, k: binomial(n - 1, k - 1) - binomial(n - k - 1, k - 1) + 1),
+    "pyber_bound": (
+        ("n", "k"), lambda n, k: 1 <= k <= n, "need 1 <= k <= n,",
+        lambda n, k: binomial(n - 1, k - 1) ** 2),
+    "emc_bound": (
+        ("n", "k", "nu"), lambda n, k, nu: 1 <= k <= n and nu >= 0, "need 1 <= k <= n, nu >= 0;",
+        lambda n, k, nu: nu * binomial(n - 1, k - 1)),
+    "I_star_t": (
+        ("n", "k", "t"), lambda n, k, t: 1 <= t <= k <= n, "need 1 <= t <= k <= n;",
+        lambda n, k, t: partial_sum(n - t, k - t - 1)),
+    "f_cross": (
+        ("n", "k", "l"), lambda n, k, l: 2 <= l <= k and n >= 1, "need 2 <= l <= k, n >= 1;",
+        lambda n, k, l: (2 ** l) * l * l * (k ** (l - 2)) * partial_sum(n - 1, k - l)),
+    "f_t": (
+        ("n", "k", "t", "l"), lambda n, k, t, l: t >= 1 and t + 1 <= l <= k and n >= t,
+        "need t >= 1, t+1 <= l <= k, n >= t;",
+        lambda n, k, t, l: (_tail_sum(l, t, l) * binomial(l, t) * l * (k ** (l - t - 1))
+                            * partial_sum(n - t, k - l))),
+    "m_even_55": (
+        ("n",), lambda n: n >= 2 and n % 2 == 0, "need even n >= 2,",
+        lambda n: 2 ** n - 2 * 2 ** (n // 2) + 1),
+    "example52": (("n",), lambda n: n >= 1, "need n >= 1,", _example52),
+    "m_odd_conjecture": (
+        ("n",), lambda n: n >= 1 and n % 2 == 1, "need odd n >= 1,",
+        lambda n: 2 ** n - 2 ** ((n + 1) // 2) - 2 ** ((n - 1) // 2) + 1),
+}
 
 
 def _ineq_1_7(n: int, k: int, p: int) -> bool:
@@ -188,36 +165,55 @@ def _ineq_1_10(l: int, t: int) -> bool:
     return (2 * t + 2) * _tail_sum(l, t, l) >= _tail_sum(l + 1, t, l + 1)
 
 
-# id -> (parameter names, domain predicate, domain statement, kernel); the
-# predicate and the kernel take the parameters positionally in that order
+# the same shape as _FORMULAS
 _INEQUALITIES = {
     "ineq_1_7": (
         ("n", "k", "p"),
         lambda n, k, p: n >= 1 and k >= 1 and p >= 1 and n > 2 * k + p,
-        "need positive n,k,p with n > 2k+p",
+        "need positive n,k,p with n > 2k+p;",
         _ineq_1_7),
     "ineq_1_8": (
         ("n", "k", "l", "t", "p"),
         lambda n, k, l, t, p: k > l >= 1 and k > t >= 1 and p >= 1 and n > 2 * k + p,
-        "need k > l >= 1, k > t >= 1, p >= 1, n > 2k+p",
+        "need k > l >= 1, k > t >= 1, p >= 1, n > 2k+p;",
         _ineq_1_8),
     "ineq_1_9": (
         ("n", "k", "l", "t"),
         lambda n, k, l, t: k > l >= 1 and k > t >= 1 and n >= 2 * k + 2,
-        "need k > l >= 1, k > t >= 1, n >= 2k+2",
+        "need k > l >= 1, k > t >= 1, n >= 2k+2;",
         _ineq_1_9),
     "ineq_1_10": (
         ("l", "t"),
         lambda l, t: t >= 1 and l >= t + 1,
-        "need t >= 1, l >= t+1",
+        "need t >= 1, l >= t+1;",
         _ineq_1_10),
 }
 
+FORMULA_IDS = tuple(_FORMULAS)
+INEQUALITY_IDS = tuple(_INEQUALITIES)
 
-def _domain_error(iid: str, values: tuple[int, ...]) -> DomainError:
-    names, _, statement, _ = _INEQUALITIES[iid]
+
+def _domain_error(entry: tuple, values: tuple[int, ...]) -> DomainError:
+    names, _, statement, _ = entry
     got = " ".join(f"{name}={v}" for name, v in zip(names, values))
-    return DomainError(f"{statement}; got {got}")
+    return DomainError(f"{statement} got {got}")
+
+
+def _call(table: dict, kind: str, entry_id: str, params: dict):
+    """Look entry_id up in a formula or inequality table, validate params, run the kernel."""
+    entry = table.get(entry_id)
+    if entry is None:
+        raise DomainError(f"unknown {kind} id {entry_id!r}")
+    names, domain, _, kernel = entry
+    values = _need(params, *names)
+    if domain is not None and not domain(*values):
+        raise _domain_error(entry, values)
+    return kernel(*values)
+
+
+def eval_formula(formula_id: str, **params: int) -> int:
+    """Evaluate one of the catalogued closed forms at integer parameters."""
+    return _call(_FORMULAS, "formula", formula_id, params)
 
 
 def check_inequality(inequality_id: str, **params: int) -> bool:
@@ -226,14 +222,7 @@ def check_inequality(inequality_id: str, **params: int) -> bool:
     All comparisons are cross-multiplied so no division ever happens; the
     multiplier that crosses sides is positive in every admissible range.
     """
-    entry = _INEQUALITIES.get(inequality_id)
-    if entry is None:
-        raise DomainError(f"unknown inequality id {inequality_id!r}")
-    names, domain, _, kernel = entry
-    values = _need(params, *names)
-    if not domain(*values):
-        raise _domain_error(inequality_id, values)
-    return kernel(*values)
+    return _call(_INEQUALITIES, "inequality", inequality_id, params)
 
 
 def f_monotone_check(kind: str, n: int, k: int, t: int | None = None) -> bool:
@@ -276,9 +265,10 @@ def inequality_grid(n_max: int = 200, k_max: int = 20, mode: str = "auto") -> di
     def run(iid: str, *values: int) -> None:
         # the domain predicate is still asserted per tuple, so a grid bug
         # raises instead of feeding the kernel an inadmissible tuple
-        names, domain, _, kernel = _INEQUALITIES[iid]
+        entry = _INEQUALITIES[iid]
+        names, domain, _, kernel = entry
         if not domain(*values):
-            raise _domain_error(iid, values)
+            raise _domain_error(entry, values)
         checked[iid] += 1
         if not kernel(*values):
             failures.append((iid, tuple(sorted(zip(names, values)))))

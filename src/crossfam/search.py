@@ -13,33 +13,35 @@ are scored, each with T(F), and the witness is the smallest (F-key, G-key)
 among the closed maximizers.  Relabeling maps closed sets to closed sets,
 so that space is label-complete too.  At n = 2k every family is closed and
 all 2^C(n,k) of them are scored.
+
+Every count of |F wedge G| or |I(F, G)| here goes through the one kernel
+``families._intersections``; ``brute_count`` alone keeps its own loops, as
+the independent oracle.  Antichains of 2^[n] are walked by one depth-first
+enumerator, ``_antichains``, for both the antichain maximizer and the
+prop53_antichain check.  ``maximize`` and ``randomized_check`` dispatch
+through id-keyed tables (``_MAXIMIZERS``, ``_CHECKS``); OBJECTIVES is the
+key tuple of the first.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations
+from functools import lru_cache, reduce
+from itertools import islice, permutations
 from math import comb
+from operator import and_
 
 from .families import (
     MAX_GROUND,
     DomainError,
     Family,
     GroundSet,
+    _intersections,
     elements_of,
 )
 from .transversals import LayerContext, has_matching_of_size, layer_context, sets_above, t_rows
 from . import transversals
-
-OBJECTIVES = (
-    "max_wedge_cross", "max_I_cross", "max_I_t_intersecting",
-    "max_I_antichain", "max_I_cross_sperner",
-)
-
-CHECK_PROPERTIES = ("prop21_nu_le4", "pyber", "emc", "hm", "prop53_antichain")
 
 _CROSS_LAYER_CAP = 24  # at n = 2k all 2^C(n, k) families are closed
 
@@ -155,18 +157,6 @@ def brute_count(kind: str, f: Family, g: Family | None = None) -> int:
 
 # --- cross-intersecting maximizers -----------------------------------------
 
-def _count_pair_bits(ctx: LayerContext, fb: int, gb: int, distinct: bool) -> int:
-    masks = ctx.masks
-    seen = set()
-    for i in _indices(fb):
-        mi = masks[i]
-        for j in _indices(gb):
-            if distinct and i == j:
-                continue
-            seen.add(mi & masks[j])
-    return len(seen)
-
-
 def _closed_sets(ctx: LayerContext):
     """Every layer bitset X = T(T(X)), T(X) = the k-sets meeting all of X.
 
@@ -204,13 +194,10 @@ def _maximize_cross(p: SearchProblem, distinct: bool) -> SearchResult:
         if not fb:
             continue
         nodes += 1
-        gb = ctx.meet_all(fb)
-        val = _count_pair_bits(ctx, fb, gb, distinct) if gb else 0
-        if val < best_val:
-            continue
         key = (tuple(masks[i] for i in _indices(fb)),
-               tuple(masks[i] for i in _indices(gb)))
-        if val > best_val or key < best_key:
+               tuple(masks[i] for i in _indices(ctx.meet_all(fb))))
+        val = len(_intersections(*key, distinct))
+        if val > best_val or (val == best_val and key < best_key):
             best_val, best_key = val, key
     witness = (Family.from_masks(best_key[0], ctx.ground, p.k),
                Family.from_masks(best_key[1], ctx.ground, p.k))
@@ -224,32 +211,37 @@ class _BudgetExceeded(Exception):
 
 
 def _maximal_cliques(ctx: LayerContext, t: int, budget: int | None):
-    """Layer bitsets of the maximal t-intersecting subfamilies, and nodes."""
+    """Layer bitsets of the maximal t-intersecting subfamilies, and nodes.
+
+    Bron-Kerbosch with pivoting on an explicit stack, so a clique of
+    thousands of k-sets needs no recursion.  A node's children are pushed
+    in reverse, so the lowest candidate is expanded first, as in the
+    recursive form.
+    """
     row = t_rows(ctx.ground.n, ctx.k, t)
     neigh = [row(mask) & ~(1 << i) for i, mask in enumerate(ctx.masks)]
     out = []
     nodes = 0
-
-    def bk(rb: int, pb: int, xb: int) -> None:
-        nonlocal nodes
+    stack = [(0, ctx.full_bits, 0)]
+    while stack:
+        rb, pb, xb = stack.pop()
         nodes += 1
         if budget is not None and nodes > budget:
             raise _BudgetExceeded
         if pb == 0 and xb == 0:
             out.append(rb)
-            return
-        pivot_pool = pb | xb
-        pivot = max(_indices(pivot_pool), key=lambda u: (pb & neigh[u]).bit_count())
+            continue
+        pivot = max(_indices(pb | xb), key=lambda u: (pb & neigh[u]).bit_count())
         cand = pb & ~neigh[pivot]
+        children = []
         while cand:
             low = cand & -cand
             v = low.bit_length() - 1
-            bk(rb | low, pb & neigh[v], xb & neigh[v])
+            children.append((rb | low, pb & neigh[v], xb & neigh[v]))
             pb ^= low
             xb |= low
             cand ^= low
-
-    bk(0, ctx.full_bits, 0)
+        stack += reversed(children)
     return out, nodes
 
 
@@ -281,7 +273,7 @@ def _maximize_t_intersecting(p: SearchProblem) -> SearchResult:
         if comb(rb.bit_count(), 2) < best_val:
             continue
         key = tuple(ctx.masks[i] for i in _indices(rb))
-        val = _distinct_count_masks(key)
+        val = len(_intersections(key, key, distinct=True))
         if val > best_val or (val == best_val and key < best_key):
             best_val, best_key = val, key
     return SearchResult(best_val, Family.from_masks(best_key, ctx.ground, p.k),
@@ -303,58 +295,62 @@ def _strict_incomparability(num_sets: int):
     return incomp
 
 
-def _distinct_count_masks(masks: Sequence[int]) -> int:
-    seen = set()
-    for i, a in enumerate(masks):
-        for b in masks[i + 1:]:
-            seen.add(a & b)
-    return len(seen)
+def _antichains(n: int):
+    """Every antichain of 2^[n] as an ascending tuple of set masks, depth first.
 
-
-def _maximize_antichain(p: SearchProblem) -> SearchResult:
-    n = p.n
-    if n > 5 and p.budget is None:
-        raise DomainError(
-            "antichain search is exhaustive only for n <= 5; set a budget "
-            "for a best-effort run")
+    The empty antichain comes first, and each antichain is followed by its
+    extensions by one larger set incomparable to all of it, smallest first.
+    """
     num = 1 << n
     incomp = _strict_incomparability(num)
-    best_val, best_key = -1, None
-    nodes = 0
-    budget = p.budget
-    exhausted = False
-
-    # DFS over antichains: allowed = bitset of masks still addable
-    def rec(allowed: int, chosen: tuple[int, ...]) -> None:
-        nonlocal best_val, best_key, nodes, exhausted
-        if exhausted:
-            return
-        nodes += 1
-        if budget is not None and nodes > budget:
-            exhausted = True
-            return
-        val = _distinct_count_masks(list(chosen))
-        if val > best_val or (val == best_val and chosen < best_key):
-            best_val, best_key = val, chosen
+    # allowed = bitset of the set masks still addable
+    stack = [((1 << num) - 1, ())]
+    while stack:
+        allowed, chosen = stack.pop()
+        yield chosen
+        children = []
         b = allowed
         while b:
             low = b & -b
             s = low.bit_length() - 1
-            rec(allowed & incomp[s] & ~((low << 1) - 1), chosen + (s,))
+            children.append((allowed & incomp[s] & ~((low << 1) - 1), chosen + (s,)))
             b ^= low
+        stack += reversed(children)
 
-    rec((1 << num) - 1, ())
-    ground = GroundSet(n)
-    witness = Family.from_masks(best_key, ground)
-    return SearchResult(best_val, witness, nodes, not exhausted)
+
+def _maximize_antichain(p: SearchProblem) -> SearchResult:
+    if p.n > 5 and p.budget is None:
+        raise DomainError(
+            "antichain search is exhaustive only for n <= 5; set a budget "
+            "for a best-effort run")
+    best_val, best_key = -1, None
+    nodes = 0
+    exhaustive = True
+    for chosen in _antichains(p.n):
+        nodes += 1
+        if p.budget is not None and nodes > p.budget:
+            exhaustive = False
+            break
+        val = len(_intersections(chosen, chosen, distinct=True))
+        if val > best_val or (val == best_val and chosen < best_key):
+            best_val, best_key = val, chosen
+    return SearchResult(best_val, Family.from_masks(best_key, GroundSet(p.n)), nodes,
+                        exhaustive)
 
 
 def _maximize_cross_sperner(p: SearchProblem) -> SearchResult:
     n = p.n
     num = 1 << n
+    if n <= 4:
+        draws = map(_indices, range(1, 1 << num))  # every nonempty family A
+    elif n == 5:
+        budget = p.budget if p.budget is not None else 10 ** 5
+        rng = random.Random(f"{p.seed}:cross_sperner")
+        draws = (sorted(rng.sample(range(num), rng.randint(1, 12))) for _ in range(budget))
+    else:
+        raise DomainError("cross-Sperner search supports n <= 4 exhaustively, n = 5 budgeted")
     incomp = _strict_incomparability(num)
     full_bits = (1 << num) - 1
-    ground = GroundSet(n)
 
     def best_partner(a_sets: list[int]) -> int:
         bb = full_bits
@@ -364,53 +360,38 @@ def _maximize_cross_sperner(p: SearchProblem) -> SearchResult:
                 break
         return bb
 
-    def evaluate(a_sets: list[int], b_bits: int) -> int:
-        seen = set()
-        b_masks = _indices(b_bits)
-        for a in a_sets:
-            for b in b_masks:
-                seen.add(a & b)
-        return len(seen)
-
     best_val, best_key = 0, ((), ())
     nodes = 0
-    if n <= 4:
-        for a_bits in range(1, 1 << num):
-            nodes += 1
-            a_sets = _indices(a_bits)
-            b_bits = best_partner(a_sets)
-            if not b_bits:
-                continue
-            size_bound = len(a_sets) * b_bits.bit_count()
-            room_bound = num - len(a_sets) - b_bits.bit_count() - 1
-            if min(size_bound, room_bound) < best_val:
-                continue
-            val = evaluate(a_sets, b_bits)
-            key = (tuple(a_sets), tuple(_indices(b_bits)))
-            if val > best_val or (val == best_val and key < best_key):
-                best_val, best_key = val, key
-        exhaustive = True
-    elif n == 5:
-        budget = p.budget if p.budget is not None else 10 ** 5
-        rng = random.Random(f"{p.seed}:cross_sperner")
-        for _ in range(budget):
-            nodes += 1
-            count = rng.randint(1, 12)
-            a_sets = sorted(rng.sample(range(num), count))
-            b_bits = best_partner(a_sets)
-            if not b_bits:
-                continue
-            val = evaluate(a_sets, b_bits)
-            key = (tuple(a_sets), tuple(_indices(b_bits)))
-            if val > best_val or (val == best_val and key < best_key):
-                best_val, best_key = val, key
-        exhaustive = False
-    else:
-        raise DomainError("cross-Sperner search supports n <= 4 exhaustively, n = 5 budgeted")
-
+    for a_sets in draws:
+        nodes += 1
+        b_bits = best_partner(a_sets)
+        if not b_bits:
+            continue
+        # |I(A, B)| <= |A| |B|, and no intersection lies in A, in B or is [n]
+        size_bound = len(a_sets) * b_bits.bit_count()
+        room_bound = num - len(a_sets) - b_bits.bit_count() - 1
+        if min(size_bound, room_bound) < best_val:
+            continue
+        key = (tuple(a_sets), tuple(_indices(b_bits)))
+        val = len(_intersections(*key))
+        if val > best_val or (val == best_val and key < best_key):
+            best_val, best_key = val, key
+    ground = GroundSet(n)
     witness = (Family.from_masks(best_key[0], ground),
                Family.from_masks(best_key[1], ground))
-    return SearchResult(best_val, witness, nodes, exhaustive)
+    return SearchResult(best_val, witness, nodes, n <= 4)
+
+
+# objective id -> maximizer; the ids are the CLI's long objective names
+_MAXIMIZERS = {
+    "max_wedge_cross": lambda p: _maximize_cross(p, distinct=False),
+    "max_I_cross": lambda p: _maximize_cross(p, distinct=True),
+    "max_I_t_intersecting": _maximize_t_intersecting,
+    "max_I_antichain": _maximize_antichain,
+    "max_I_cross_sperner": _maximize_cross_sperner,
+}
+
+OBJECTIVES = tuple(_MAXIMIZERS)
 
 
 def maximize(p: SearchProblem) -> SearchResult:
@@ -423,17 +404,10 @@ def maximize(p: SearchProblem) -> SearchResult:
         raise DomainError(f"search needs t >= 1, got t = {p.t}")
     if p.budget is not None and p.budget < 1:
         raise DomainError(f"a search budget must be at least 1, got {p.budget}")
-    if p.objective == "max_wedge_cross":
-        return _maximize_cross(p, distinct=False)
-    if p.objective == "max_I_cross":
-        return _maximize_cross(p, distinct=True)
-    if p.objective == "max_I_t_intersecting":
-        return _maximize_t_intersecting(p)
-    if p.objective == "max_I_antichain":
-        return _maximize_antichain(p)
-    if p.objective == "max_I_cross_sperner":
-        return _maximize_cross_sperner(p)
-    raise DomainError(f"unknown objective {p.objective!r}")
+    maximizer = _MAXIMIZERS.get(p.objective)
+    if maximizer is None:
+        raise DomainError(f"unknown objective {p.objective!r}")
+    return maximizer(p)
 
 
 # --- seeded samplers --------------------------------------------------------
@@ -558,131 +532,107 @@ def _family_sets(ctx: LayerContext, bits: int) -> list[list[int]]:
     return [list(elements_of(ctx.masks[i])) for i in _indices(bits)]
 
 
+def _trial_rngs(seed: int, count: int):
+    return (_trial_rng(seed, i) for i in range(count))
+
+
+def _pair_example(ctx: LayerContext, fb: int, gb: int) -> dict:
+    return {"F": _family_sets(ctx, fb), "G": _family_sets(ctx, gb)}
+
+
+# Each property maps (n, params, trials, seed) to whether its trials are
+# exhaustive, and the outcome of each trial run: a counterexample or None.
+
+def _prop21_trials(n: int, params: dict, trials: int, seed: int):
+    ctx = layer_context(n, params["k"])
+    pairs = (sample_saturated_pair_bits(ctx, rng) for rng in _trial_rngs(seed, trials))
+    return False, (_pair_example(ctx, fb, gb)
+                   if has_matching_of_size(realized_corank1_layer(ctx, fb, gb), 5) else None
+                   for fb, gb in pairs)
+
+
+def _pyber_trials(n: int, params: dict, trials: int, seed: int):
+    k = params["k"]
+    ctx = layer_context(n, k)
+    bound = comb(n - 1, k - 1) ** 2
+    pairs = (sample_saturated_pair_bits(ctx, rng) for rng in _trial_rngs(seed, trials))
+    return False, (_pair_example(ctx, fb, gb) if fb.bit_count() * gb.bit_count() > bound
+                   else None for fb, gb in pairs)
+
+
+def _emc_trials(n: int, params: dict, trials: int, seed: int):
+    k = params["k"]
+    ctx = layer_context(n, k)
+    bound_unit = comb(n - 1, k - 1)
+
+    def outcome(fb: int):
+        masks = [ctx.masks[j] for j in _indices(fb)]
+        nu = 0
+        while has_matching_of_size(masks, nu + 1):
+            nu += 1
+        # the matching bound carries its own regime n >= k(nu + 1)
+        if n >= k * (nu + 1) and len(masks) > nu * bound_unit:
+            return {"F": _family_sets(ctx, fb), "nu": nu}
+        return None
+    return False, (outcome(sample_family_bits(ctx, rng)) for rng in _trial_rngs(seed, trials))
+
+
+def _hm_trials(n: int, params: dict, trials: int, seed: int):
+    k = params["k"]
+    full = layer_context(n, k).ground.full_mask
+    bound = comb(n - 1, k - 1) - comb(n - k - 1, k - 1) + 1
+    fams = (sample_saturated_t_family(n, k, 1, rng) for rng in _trial_rngs(seed, trials * 20))
+    # a trivial star is out of scope for this bound: only the others count as trials
+    nontrivial = (fam for fam in fams if not reduce(and_, fam.members, full))
+    return False, islice(({"F": [list(s) for s in fam.sets()]} if len(fam) > bound else None
+                          for fam in nontrivial), trials)
+
+
+def _prop53_trials(n: int, params: dict, trials: int, seed: int):
+    full = 2 ** n
+
+    def outcome(masks: tuple[int, ...]):
+        c = len(_intersections(masks, masks, distinct=True))
+        if c < full and (full - c) ** 2 > full:
+            return None
+        return {"A": [list(elements_of(m)) for m in masks]}
+    if n <= 5:
+        return True, map(outcome, _antichains(n))
+    return False, (outcome(sample_antichain(n, rng).members) for rng in _trial_rngs(seed, trials))
+
+
+_CHECKS = {
+    "prop21_nu_le4": _prop21_trials,
+    "pyber": _pyber_trials,
+    "emc": _emc_trials,
+    "hm": _hm_trials,
+    "prop53_antichain": _prop53_trials,
+}
+
+
 def randomized_check(property_name: str, params: dict, trials: int,
                      seed: int) -> CheckReport:
     """Assert one of the named properties on seeded random instances.
 
     A found counterexample makes the report fail; it never raises.
-    prop53_antichain runs exhaustively for n <= 5 regardless of `trials`.
+    prop53_antichain runs exhaustively for n <= 5 regardless of `trials`,
+    and hm counts only the non-star families it drew (at most 20 * trials).
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
     n = params["n"]
-    report = CheckReport(property_name, dict(params), trials, 0)
-
-    if property_name == "prop21_nu_le4":
-        k = params["k"]
-        ctx = layer_context(n, k)
-        for i in range(trials):
-            rng = _trial_rng(seed, i)
-            fb, gb = sample_saturated_pair_bits(ctx, rng)
-            layer = realized_corank1_layer(ctx, fb, gb)
-            if has_matching_of_size(layer, 5):
-                report.failures += 1
-                if report.first_counterexample is None:
-                    report.first_counterexample = {
-                        "F": _family_sets(ctx, fb), "G": _family_sets(ctx, gb)}
-        return report
-
-    if property_name == "pyber":
-        k = params["k"]
-        ctx = layer_context(n, k)
-        bound = comb(n - 1, k - 1) ** 2
-        for i in range(trials):
-            rng = _trial_rng(seed, i)
-            fb, gb = sample_saturated_pair_bits(ctx, rng)
-            if fb.bit_count() * gb.bit_count() > bound:
-                report.failures += 1
-                if report.first_counterexample is None:
-                    report.first_counterexample = {
-                        "F": _family_sets(ctx, fb), "G": _family_sets(ctx, gb)}
-        return report
-
-    if property_name == "emc":
-        k = params["k"]
-        ctx = layer_context(n, k)
-        bound_unit = comb(n - 1, k - 1)
-        for i in range(trials):
-            rng = _trial_rng(seed, i)
-            fb = sample_family_bits(ctx, rng)
-            masks = [ctx.masks[j] for j in _indices(fb)]
-            nu = 0
-            while has_matching_of_size(masks, nu + 1):
-                nu += 1
-            # the matching bound carries its own regime n >= k(nu + 1)
-            if n >= k * (nu + 1) and len(masks) > nu * bound_unit:
-                report.failures += 1
-                if report.first_counterexample is None:
-                    report.first_counterexample = {
-                        "F": _family_sets(ctx, fb), "nu": nu}
-        return report
-
-    if property_name == "hm":
-        k = params["k"]
-        ctx = layer_context(n, k)
-        bound = comb(n - 1, k - 1) - comb(n - k - 1, k - 1) + 1
-        produced = 0
-        for i in range(trials * 20):
-            if produced >= trials:
-                break
-            rng = _trial_rng(seed, i)
-            fam = sample_saturated_t_family(n, k, 1, rng)
-            meet = ctx.ground.full_mask
-            for m in fam.members:
-                meet &= m
-            if meet:
-                continue  # trivial star: out of scope for this bound
-            produced += 1
-            if len(fam) > bound:
-                report.failures += 1
-                if report.first_counterexample is None:
-                    report.first_counterexample = {
-                        "F": [list(s) for s in fam.sets()]}
-        report.trials = produced
-        return report
-
-    if property_name == "prop53_antichain":
-        full = 2 ** n
-
-        def violates(masks: list[int]) -> bool:
-            c = _distinct_count_masks(masks)
-            return not (c < full and (full - c) ** 2 > full)
-
-        if n <= 5:
-            report.exhaustive = True
-            num = 1 << n
-            incomp = _strict_incomparability(num)
-            count = 0
-
-            def rec(allowed: int, chosen: list[int]) -> None:
-                nonlocal count
-                count += 1
-                if violates(chosen):
-                    report.failures += 1
-                    if report.first_counterexample is None:
-                        report.first_counterexample = {
-                            "A": [list(elements_of(m)) for m in chosen]}
-                b = allowed
-                while b:
-                    low = b & -b
-                    s = low.bit_length() - 1
-                    rec(allowed & incomp[s] & ~((low << 1) - 1), chosen + [s])
-                    b ^= low
-
-            rec((1 << num) - 1, [])
-            report.trials = count
-            return report
-        for i in range(trials):
-            rng = _trial_rng(seed, i)
-            fam = sample_antichain(n, rng)
-            if violates(list(fam.members)):
-                report.failures += 1
-                if report.first_counterexample is None:
-                    report.first_counterexample = {
-                        "A": [list(s) for s in fam.sets()]}
-        return report
-
-    raise DomainError(f"unknown property {property_name!r}")
+    run_trials = _CHECKS.get(property_name)
+    if run_trials is None:
+        raise DomainError(f"unknown property {property_name!r}")
+    report = CheckReport(property_name, dict(params), 0, 0)
+    report.exhaustive, outcomes = run_trials(n, params, trials, seed)
+    for example in outcomes:
+        report.trials += 1
+        if example is not None:
+            report.failures += 1
+            if report.first_counterexample is None:
+                report.first_counterexample = example
+    return report
 
 
 # --- saturated-pair closure enumeration (small k-uniform layers) ------------

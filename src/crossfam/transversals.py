@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
-from operator import and_
+from operator import and_, or_
 
 from .families import (
     DomainError,
@@ -246,10 +246,12 @@ def layer_context(n: int, k: int) -> LayerContext:
     index = {m: i for i, m in enumerate(masks)}
     adj = None
     if len(masks) <= _ADJ_CAP:
-        adj = tuple(
-            sum(1 << j for j, other in enumerate(masks) if m & other)
-            for m in masks
-        )
+        # a k-set meets exactly the k-sets that hold one of its elements
+        holders = [0] * n
+        for i, m in enumerate(masks):
+            for e in elements_of(m):
+                holders[e - 1] |= 1 << i
+        adj = tuple(reduce(or_, [holders[e - 1] for e in elements_of(m)], 0) for m in masks)
     return LayerContext(ground, k, masks, index, adj, (1 << len(masks)) - 1)
 
 

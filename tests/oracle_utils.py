@@ -247,3 +247,50 @@ def sample_t_draws(n, k, t, rng, max_members=3):
             break
         chosen.append(rng.choice(pool))
     return chosen
+
+
+def recursive_cliques(n, k, t):
+    """The maximal t-intersecting families of k-sets, by recursive Bron-Kerbosch.
+
+    Vertices are the sorted k-set bitmasks, joined when distinct and sharing
+    >= t elements.  The pivot is the first vertex of P u X (in index order)
+    with the most neighbours in P, and the candidates outside its
+    neighbourhood are expanded lowest first.  Returns the cliques as vertex
+    bitsets, in the order found, and the number of calls.
+    """
+    layer = _layer_masks(n, k)
+    neigh = [sum(1 << j for j, b in enumerate(layer) if b != a and (a & b).bit_count() >= t)
+             for a in layer]
+    out, calls = [], [0]
+
+    def bk(r, p, x):
+        calls[0] += 1
+        if not p and not x:
+            out.append(r)
+            return
+        pool = [u for u in range(len(layer)) if (p | x) >> u & 1]
+        pivot = max(pool, key=lambda u: (p & neigh[u]).bit_count())
+        for v in range(len(layer)):
+            if (p & ~neigh[pivot]) >> v & 1:
+                bk(r | 1 << v, p & neigh[v], x & neigh[v])
+                p &= ~(1 << v)
+                x |= 1 << v
+
+    bk(0, (1 << len(layer)) - 1, 0)
+    return out, calls[0]
+
+
+def recursive_antichains(n):
+    """Every antichain of subsets of [n], by recursion: each antichain (an
+    ascending tuple of set bitmasks) and then its extensions by one larger
+    incomparable set, smallest first."""
+    out = []
+
+    def rec(chosen):
+        out.append(chosen)
+        for s in range((chosen[-1] + 1) if chosen else 0, 1 << n):
+            if all(s & c not in (s, c) for c in chosen):
+                rec(chosen + (s,))
+
+    rec(())
+    return out

@@ -243,6 +243,8 @@ def test_branch_csv_and_text_use_dict_form(capsys, tmp_path):
     ("--objective", "I_antichain", "--n", "65"),
     ("--objective", "I_antichain"),
     ("--objective", "I_t_intersecting", "--n", "6", "--k", "2", "--t", "0"),
+    # refused before its 2^n x 2^n incomparability table is built
+    ("--objective", "cross_sperner", "--n", "24"),
 ])
 def test_search_bad_budget_or_size_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, "search", *argv)
@@ -278,6 +280,16 @@ def test_search_large_k_small_layer(capsys):
     res = json.loads(out)["result"]
     assert res["value"] == "300"
     assert len(res["witness"]) == 25
+
+
+def test_search_clique_of_1128_members(capsys):
+    # any two 46-sets of [48] share >= 44 elements: one clique, found without
+    # recursing once per member; the pairs meet in the 44- and 45-sets
+    code, out, _ = run_cli(capsys, "search", "--objective", "I_t_intersecting",
+                           "--n", "48", "--k", "46", "--t", "44")
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert (res["value"], res["nodes"], res["exhaustive"]) == ("211876", 1129, True)
 
 
 def test_csv_format(capsys):

@@ -1,7 +1,10 @@
 import pytest
 
+from crossfam import constructions
 from crossfam.families import (
     DomainError,
+    Family,
+    GroundSet,
     distinct_intersections,
     is_antichain,
     is_cross_intersecting,
@@ -135,10 +138,14 @@ def test_construct_dispatcher_and_spec():
     pair = ConstructionSpec("prop21_tight", {"n": 4, "k": 2}).build()
     assert isinstance(pair, tuple)
     assert construct("star", {"n": 4, "k": 2, "T": [1]}) == star(4, 2, [1])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^unknown construction 'nope'$"):
         construct("nope", {})
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^star needs parameter 'T'$"):
         construct("star", {"n": 4, "k": 2})
+    with pytest.raises(DomainError, match=r"^missing parameter 'n'$"):
+        construct("A1", {"k": 3})
+    with pytest.raises(DomainError, match=r"^parameter 't' must be an integer, got '1'$"):
+        construct("Ankt", {"n": 8, "k": 3, "t": "1"})
 
 
 def test_verify_construction_reports():
@@ -148,6 +155,30 @@ def test_verify_construction_reports():
     assert verify_construction("antichain_52", {"n": 7})["ok"]
     rep = verify_construction("cross_sperner_54", {"n": 4, "X": [1, 2]})
     assert rep["ok"] and rep["witness"] is None
+
+
+def _sets(*sets):
+    return Family.from_sets(sets, GroundSet(4))
+
+
+@pytest.mark.parametrize("name, params, built, witness", [
+    ("star", {"n": 4, "k": 2, "T": [1]}, _sets((1, 2), (2, 3), (3, 4)), [[2, 3]]),
+    ("A3", {"n": 4, "k": 2}, _sets((1, 2), (1, 3), (3, 4)), [[1, 2], [3, 4]]),
+    ("Ankt", {"n": 4, "k": 2, "t": 2}, _sets((1, 2), (1, 3)), [[1, 2], [1, 3]]),
+    ("prop21_tight", {"n": 4, "k": 2}, (_sets((1, 2), (3, 4)), _sets((1, 2), (1, 3))),
+     [[3, 4], [1, 2]]),
+    ("antichain_52", {"n": 4}, _sets((1,), (2,), (2, 3)), [[2], [2, 3]]),
+    ("cross_sperner_54", {"n": 4, "X": [1]}, (_sets((2,), (3,)), _sets((1,), (1, 3))),
+     [[3], [1, 3]]),
+])
+def test_verify_construction_names_the_first_bad_member_or_pair(monkeypatch, name, params,
+                                                                 built, witness):
+    # a broken builder: the scan reports the first offending member or pair
+    names, set_name, _ = constructions._CONSTRUCTIONS[name]
+    monkeypatch.setitem(constructions._CONSTRUCTIONS, name,
+                        (names, set_name, lambda *args: built))
+    assert verify_construction(name, params) == {
+        "name": name, "params": params, "ok": False, "witness": witness}
 
 
 def test_layer_antichain_degenerate_small_n():

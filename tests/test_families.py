@@ -6,6 +6,7 @@ from crossfam.families import (
     DomainError,
     Family,
     GroundSet,
+    _intersections,
     common_members,
     distinct_intersections,
     families_from_text,
@@ -204,6 +205,17 @@ def test_wedge_decomposition_and_symmetry(f, g):
     assert set(d.members) <= set(w.members)
     assert wedge(g, f) == w
     assert distinct_intersections(g, f) == d
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_family(max_n=10), random_family(max_n=10), st.booleans())
+def test_intersection_kernel_matches_oracle(f, g, distinct):
+    # one sequence passed twice walks unordered pairs; two sequences walk all pairs
+    xs, ys = f.members, g.members
+    want = oracle.distinct_sets if distinct else oracle.wedge_sets
+    assert _intersections(xs, ys, distinct) == want(xs, ys)
+    assert _intersections(xs, xs, distinct) == want(xs, xs) == _intersections(
+        xs, list(xs), distinct)
 
 
 @settings(max_examples=100, deadline=None)

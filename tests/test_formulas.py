@@ -11,7 +11,12 @@ from crossfam.formulas import (
     inequality_grid,
     partial_sum,
 )
-from crossfam.constructions import four_star_pair, top_layer_antichain, window_family
+from crossfam.constructions import (
+    four_star_pair,
+    split_cross_sperner_pair,
+    top_layer_antichain,
+    window_family,
+)
 from crossfam.search import brute_count
 
 import oracle_utils as oracle
@@ -58,7 +63,7 @@ def test_wedge_star_and_ankt_examples():
 
 
 def test_example52_matches_enumeration():
-    for n in range(1, 9):
+    for n in range(1, 11):
         fam = top_layer_antichain(n)
         assert eval_formula("example52", n=n) == brute_count("I_self", fam)
 
@@ -106,6 +111,11 @@ def test_formula_agreement_with_oracle_small_grid():
                 fam = window_family(n, k, t)
                 assert brute_count("I_self", fam) == eval_formula(
                     "I_Ankt_17", n=n, k=k, t=t)
+    # the split pair of [n] = X u Y has no closed form in the catalogue
+    for n in range(2, 11):
+        for x in range(1, n):
+            a, b = split_cross_sperner_pair(n, range(1, x + 1))
+            assert brute_count("I_pair", a, b) == 2 ** n - 2 ** x - 2 ** (n - x) + 1
 
 
 def test_inequality_examples():

@@ -18,6 +18,8 @@ from crossfam.constructions import four_star_pair, triangle_family
 from crossfam.formulas import eval_formula
 from crossfam.search import (
     SearchProblem,
+    _antichains,
+    _maximal_cliques,
     all_saturated_pairs,
     are_isomorphic,
     brute_count,
@@ -141,6 +143,17 @@ def test_maximal_cliques_of_large_k_layers():
     assert [len(f) for f in fams] == [comb(20, 2)]
 
 
+@pytest.mark.parametrize("n,k,t", [(6, 2, 1), (7, 3, 1), (8, 3, 1), (8, 3, 2), (7, 4, 2)])
+def test_maximal_cliques_match_recursive_oracle(n, k, t):
+    # the explicit stack visits the nodes of the recursion, in its order
+    assert _maximal_cliques(layer_context(n, k), t, None) == oracle.recursive_cliques(n, k, t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_antichain_walk_matches_recursion(n):
+    assert list(_antichains(n)) == oracle.recursive_antichains(n)
+
+
 def test_max_I_antichain():
     res4 = maximize(SearchProblem("max_I_antichain", n=4))
     assert res4.exhaustive and res4.nodes_explored == 168
@@ -150,6 +163,11 @@ def test_max_I_antichain():
     assert res5.value == 15
     with pytest.raises(DomainError):
         maximize(SearchProblem("max_I_antichain", n=6))
+    # a budget of 100 scores the first 100 antichains and stops at node 101
+    res = maximize(SearchProblem("max_I_antichain", n=5, budget=100))
+    assert (res.nodes_explored, res.exhaustive) == (101, False)
+    first = oracle.recursive_antichains(5)[:100]
+    assert res.value == max(len(oracle.distinct_sets(a, a)) for a in first)
 
 
 def test_max_I_cross_sperner_values():

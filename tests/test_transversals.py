@@ -202,6 +202,16 @@ def test_saturate_t_matches_sweep_above_adjacency_cap():
         assert list(got.members) == oracle.saturate_t_sweep(members, 14, 5, 2)
 
 
+@pytest.mark.parametrize("n,k", [(5, 0), (1, 0), (4, 4), (1, 1), (6, 3), (8, 4), (9, 3),
+                                 (12, 4)])
+def test_layer_adjacency_matches_pairwise_definition(n, k):
+    # k = 0: the empty set meets nothing; k = n: one set meeting itself;
+    # n = 2k: complements are the only non-neighbours; n > 2k: the general case
+    ctx = layer_context(n, k)
+    assert ctx.adj == tuple(sum(1 << j for j, b in enumerate(ctx.masks) if a & b)
+                            for a in ctx.masks)
+
+
 def test_meet_all_above_adjacency_cap_matches_scan():
     ctx = layer_context(14, 5)
     assert ctx.adj is None
