@@ -19,11 +19,9 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=200_000,
                         help="node budget for the n = 5 sampled run")
-    parser.add_argument("--skip-n5", action="store_true")
     args = parser.parse_args()
 
-    ns = (2, 3, 4) if args.skip_n5 else (2, 3, 4, 5)
-    for n in ns:
+    for n in (2, 3, 4, 5):
         problem = SearchProblem("max_I_cross_sperner", n=n, seed=args.seed,
                                 budget=args.budget if n == 5 else None)
         res = maximize(problem)

@@ -24,14 +24,6 @@ from .formulas import FORMULA_IDS, eval_formula, inequality_grid
 from .search import OBJECTIVES, SearchProblem, maximize
 import random
 
-_OBJECTIVE_ALIASES = {
-    "wedge_cross": "max_wedge_cross",
-    "I_cross": "max_I_cross",
-    "I_t_intersecting": "max_I_t_intersecting",
-    "I_antichain": "max_I_antichain",
-    "cross_sperner": "max_I_cross_sperner",
-}
-
 _CHECK_SUITES = {
     "inequality_grid": None,  # handled inline
     "oracle_agreement": (1, 2, 3, 4),
@@ -168,8 +160,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    objective = _OBJECTIVE_ALIASES.get(args.objective, args.objective)
-    if objective not in OBJECTIVES:
+    # an objective id, or the id without its "max_" or "max_I_" prefix
+    objective = next((o for o in OBJECTIVES if args.objective in
+                      (o, o.removeprefix("max_"), o.removeprefix("max_I_"))), None)
+    if objective is None:
         raise DomainError(f"unknown objective {args.objective!r}")
     problem = SearchProblem(
         objective=objective, n=args.n, k=args.k, t=args.t, seed=args.seed,

@@ -6,13 +6,17 @@ raw member-tuple key is automatically in canonical form: its key equals the
 minimum over all ground-set permutations of any maximizer's key.  Witness
 tie-breaking therefore never has to enumerate permutations.
 
-For the cross objectives let T(X) be the k-sets meeting every member of X.
-For a fixed F the best partner is T(F), and the closure T(T(F)) of F keeps
-that partner while |F wedge G| and |I(F, G)| only grow.  So only closed F
-are scored, each with T(F), and the witness is the smallest (F-key, G-key)
-among the closed maximizers.  Relabeling maps closed sets to closed sets,
-so that space is label-complete too.  At n = 2k every family is closed and
-all 2^C(n,k) of them are scored.
+One closure engine serves two symmetric relations, each a LayerContext:
+"meets" on the k-layer (the cross objectives) and strict incomparability
+on 2^[n] (``_subset_context``, cross-Sperner and the antichain walk).  Let
+T(X) be the sets related to every member of X.  For a fixed F the best
+partner is T(F), and the closure T(T(F)) of F keeps that partner while
+|F wedge G| and |I(F, G)| only grow.  So ``_closed_sets`` lists the closed
+F and one scorer, ``_best_pair``, scores each with T(F); the witness is the
+smallest (F-key, G-key) among the closed maximizers.  Relabeling maps
+closed sets to closed sets, so that space is label-complete too.  On a
+layer with n = 2k every family is closed and all 2^C(n,k) are scored.  The
+n = 5 cross-Sperner sampler feeds the same scorer its random draws.
 
 Every count of |F wedge G| or |I(F, G)| here goes through the one kernel
 ``families._intersections``; ``brute_count`` alone keeps its own loops, as
@@ -44,6 +48,7 @@ from .transversals import LayerContext, has_matching_of_size, layer_context, set
 from . import transversals
 
 _CROSS_LAYER_CAP = 24  # at n = 2k all 2^C(n, k) families are closed
+_ANTICHAIN_MAX_N = 13  # no budget bounds the 4^n-bit incomparability table
 
 
 @dataclass(frozen=True)
@@ -155,16 +160,38 @@ def brute_count(kind: str, f: Family, g: Family | None = None) -> int:
     return len(seen)
 
 
-# --- cross-intersecting maximizers -----------------------------------------
+# --- the closure engine and the pair scorer --------------------------------
+
+@lru_cache(maxsize=None)
+def _subset_context(n: int) -> LayerContext:
+    """2^[n] under strict incomparability; set i is mask i, and k is None.
+
+    Row s is every set minus those below and above s, both doubled up over
+    the n bits: O(n) big-integer steps per row, 4^n bits in all.
+    """
+    num = 1 << n
+    full = (1 << num) - 1
+    rows = []
+    for s in range(num):
+        below, above = 1, 1 << s
+        for i in range(n):
+            if s >> i & 1:
+                below |= below << (1 << i)
+            else:
+                above |= above << (1 << i)
+        rows.append(full ^ (below | above))
+    masks = tuple(range(num))
+    return LayerContext(GroundSet(n), None, masks, dict(zip(masks, masks)), tuple(rows), full)
+
 
 def _closed_sets(ctx: LayerContext):
-    """Every layer bitset X = T(T(X)), T(X) = the k-sets meeting all of X.
+    """Every bitset X = T(T(X)), T(X) = ``ctx.meet_all(X)``.
 
-    The closed sets are the image of T: the full layer T(0) closed under
-    T(X) & adj[i] = T(X + i).  At n = 2k, T(X) is the layer minus the
-    complements of X, so every X is closed.
+    The closed sets are the image of T: the full universe T(0) closed under
+    T(X) & adj[i] = T(X + i).  On a k-layer with n = 2k, T(X) is the layer
+    minus the complements of X, so every X is closed.
     """
-    if ctx.ground.n == 2 * ctx.k:
+    if ctx.k is not None and ctx.ground.n == 2 * ctx.k:
         return range(1 << len(ctx.masks))
     seen = {ctx.full_bits}
     stack = [ctx.full_bits]
@@ -178,6 +205,37 @@ def _closed_sets(ctx: LayerContext):
     return sorted(seen)
 
 
+def _best_pair(ctx: LayerContext, draws, distinct: bool, room: int | None = None):
+    """The value, witness and nonempty-draw count of the best (X, T(X)), X in `draws`.
+
+    Scores |I(X, T(X))| if distinct, else |X wedge T(X)|.  A draw is pruned
+    when T(X) is empty or a bound is below the incumbent's value: |X| |T(X)|,
+    and room - |X| - |T(X)| if given.  The smallest (X-key, T(X)-key), a key
+    listing masks ascending, wins ties; with nothing scored, the empty pair.
+    """
+    masks, meet_all = ctx.masks, ctx.meet_all
+    best_val, best_key, nodes = 0, None, 0
+    for x in draws:
+        if not x:
+            continue
+        nodes += 1
+        y = meet_all(x)
+        if not y:
+            continue
+        cx, cy = x.bit_count(), y.bit_count()
+        bound = cx * cy if room is None else min(cx * cy, room - cx - cy)
+        if bound < best_val:
+            continue
+        key = (tuple(masks[i] for i in _indices(x)), tuple(masks[i] for i in _indices(y)))
+        val = len(_intersections(*key, distinct))
+        if best_key is None or val > best_val or (val == best_val and key < best_key):
+            best_val, best_key = val, key
+    witness = tuple(Family.from_masks(side, ctx.ground, ctx.k) for side in best_key or ((), ()))
+    return best_val, witness, nodes
+
+
+# --- cross-intersecting maximizers -----------------------------------------
+
 def _maximize_cross(p: SearchProblem, distinct: bool) -> SearchResult:
     if p.k is None:
         raise DomainError("cross objectives need k")
@@ -188,20 +246,7 @@ def _maximize_cross(p: SearchProblem, distinct: bool) -> SearchResult:
             f"C(n,k) <= {_CROSS_LAYER_CAP} of {p.objective}; this objective "
             f"has no budgeted mode")
     ctx = layer_context(p.n, p.k)
-    masks = ctx.masks
-    best_val, best_key, nodes = -1, None, 0
-    for fb in _closed_sets(ctx):
-        if not fb:
-            continue
-        nodes += 1
-        key = (tuple(masks[i] for i in _indices(fb)),
-               tuple(masks[i] for i in _indices(ctx.meet_all(fb))))
-        val = len(_intersections(*key, distinct))
-        if val > best_val or (val == best_val and key < best_key):
-            best_val, best_key = val, key
-    witness = (Family.from_masks(best_key[0], ctx.ground, p.k),
-               Family.from_masks(best_key[1], ctx.ground, p.k))
-    return SearchResult(best_val, witness, nodes, True)
+    return SearchResult(*_best_pair(ctx, _closed_sets(ctx), distinct), True)
 
 
 # --- t-intersecting maximizer via maximal cliques --------------------------
@@ -282,29 +327,15 @@ def _maximize_t_intersecting(p: SearchProblem) -> SearchResult:
 
 # --- antichain and cross-Sperner maximizers --------------------------------
 
-def _strict_incomparability(num_sets: int):
-    """incomp[s] = bitset of set-masks u with neither u <= s nor s <= u."""
-    incomp = [0] * num_sets
-    for s in range(num_sets):
-        acc = 0
-        for u in range(num_sets):
-            su = s & u
-            if su != s and su != u:
-                acc |= 1 << u
-        incomp[s] = acc
-    return incomp
-
-
 def _antichains(n: int):
     """Every antichain of 2^[n] as an ascending tuple of set masks, depth first.
 
     The empty antichain comes first, and each antichain is followed by its
     extensions by one larger set incomparable to all of it, smallest first.
     """
-    num = 1 << n
-    incomp = _strict_incomparability(num)
+    ctx = _subset_context(n)
     # allowed = bitset of the set masks still addable
-    stack = [((1 << num) - 1, ())]
+    stack = [(ctx.full_bits, ())]
     while stack:
         allowed, chosen = stack.pop()
         yield chosen
@@ -313,12 +344,16 @@ def _antichains(n: int):
         while b:
             low = b & -b
             s = low.bit_length() - 1
-            children.append((allowed & incomp[s] & ~((low << 1) - 1), chosen + (s,)))
+            children.append((allowed & ctx.adj[s] & ~((low << 1) - 1), chosen + (s,)))
             b ^= low
         stack += reversed(children)
 
 
 def _maximize_antichain(p: SearchProblem) -> SearchResult:
+    if p.n > _ANTICHAIN_MAX_N:
+        raise DomainError(
+            f"antichain search supports n <= {_ANTICHAIN_MAX_N}: its 2^n x 2^n "
+            f"incomparability table is built whatever the budget, got n = {p.n}")
     if p.n > 5 and p.budget is None:
         raise DomainError(
             "antichain search is exhaustive only for n <= 5; set a budget "
@@ -340,46 +375,20 @@ def _maximize_antichain(p: SearchProblem) -> SearchResult:
 
 def _maximize_cross_sperner(p: SearchProblem) -> SearchResult:
     n = p.n
-    num = 1 << n
+    if n > 5:
+        raise DomainError("cross-Sperner search supports n <= 4 exhaustively, n = 5 budgeted")
+    ctx = _subset_context(n)
     if n <= 4:
-        draws = map(_indices, range(1, 1 << num))  # every nonempty family A
-    elif n == 5:
+        draws = _closed_sets(ctx)
+    else:
         budget = p.budget if p.budget is not None else 10 ** 5
         rng = random.Random(f"{p.seed}:cross_sperner")
-        draws = (sorted(rng.sample(range(num), rng.randint(1, 12))) for _ in range(budget))
-    else:
-        raise DomainError("cross-Sperner search supports n <= 4 exhaustively, n = 5 budgeted")
-    incomp = _strict_incomparability(num)
-    full_bits = (1 << num) - 1
-
-    def best_partner(a_sets: list[int]) -> int:
-        bb = full_bits
-        for s in a_sets:
-            bb &= incomp[s]
-            if not bb:
-                break
-        return bb
-
-    best_val, best_key = 0, ((), ())
-    nodes = 0
-    for a_sets in draws:
-        nodes += 1
-        b_bits = best_partner(a_sets)
-        if not b_bits:
-            continue
-        # |I(A, B)| <= |A| |B|, and no intersection lies in A, in B or is [n]
-        size_bound = len(a_sets) * b_bits.bit_count()
-        room_bound = num - len(a_sets) - b_bits.bit_count() - 1
-        if min(size_bound, room_bound) < best_val:
-            continue
-        key = (tuple(a_sets), tuple(_indices(b_bits)))
-        val = len(_intersections(*key))
-        if val > best_val or (val == best_val and key < best_key):
-            best_val, best_key = val, key
-    ground = GroundSet(n)
-    witness = (Family.from_masks(best_key[0], ground),
-               Family.from_masks(best_key[1], ground))
-    return SearchResult(best_val, witness, nodes, n <= 4)
+        # sample picks by position alone, so this draws the sets range(2^n) would;
+        # they come as distinct one-bit masks, whose sum is their union
+        one_bits = [1 << s for s in range(1 << n)]
+        draws = (sum(rng.sample(one_bits, rng.randint(1, 12))) for _ in range(budget))
+    # no intersection of A and B lies in A, in B or is [n]
+    return SearchResult(*_best_pair(ctx, draws, True, room=(1 << n) - 1), n <= 4)
 
 
 # objective id -> maximizer; the ids are the CLI's long objective names
@@ -428,12 +437,7 @@ def sample_saturated_pair_bits(ctx: LayerContext, rng: random.Random,
         gb = 0
         for i in rng.sample(cand_idx, rng.randint(1, min(max_members, len(cand_idx)))):
             gb |= 1 << i
-        while True:
-            nf = ctx.meet_all(gb)
-            ng = ctx.meet_all(nf)
-            if nf == fb and ng == gb:
-                return fb, gb
-            fb, gb = nf, ng
+        return ctx.saturate(fb, gb)
     raise RuntimeError("could not sample a cross-intersecting pair")
 
 
@@ -566,12 +570,9 @@ def _emc_trials(n: int, params: dict, trials: int, seed: int):
     bound_unit = comb(n - 1, k - 1)
 
     def outcome(fb: int):
-        masks = [ctx.masks[j] for j in _indices(fb)]
-        nu = 0
-        while has_matching_of_size(masks, nu + 1):
-            nu += 1
+        nu = transversals.matching_number(ctx.family_of(fb))
         # the matching bound carries its own regime n >= k(nu + 1)
-        if n >= k * (nu + 1) and len(masks) > nu * bound_unit:
+        if n >= k * (nu + 1) and fb.bit_count() > nu * bound_unit:
             return {"F": _family_sets(ctx, fb), "nu": nu}
         return None
     return False, (outcome(sample_family_bits(ctx, rng)) for rng in _trial_rngs(seed, trials))

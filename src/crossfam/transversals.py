@@ -111,21 +111,10 @@ def covering_number(f: Family, t: int = 1) -> int:
 
 def matching_number(f: Family) -> int:
     """Maximum number of pairwise disjoint members (0 for the empty family)."""
-    members = sorted(f.members, key=lambda m: m.bit_count())
-    best = 0
-
-    def dfs(avail: list[int], cnt: int) -> None:
-        nonlocal best
-        if cnt > best:
-            best = cnt
-        if not avail or cnt + len(avail) <= best:
-            return
-        m = avail[0]
-        dfs([x for x in avail[1:] if not x & m], cnt + 1)
-        dfs(avail[1:], cnt)
-
-    dfs(members, 0)
-    return best
+    nu = 0
+    while has_matching_of_size(f.members, nu + 1):
+        nu += 1
+    return nu
 
 
 def has_matching_of_size(masks, size: int) -> bool:
@@ -203,10 +192,16 @@ def upward_closure(b: Family, k: int) -> Family:
 
 @dataclass(frozen=True)
 class LayerContext:
-    """All k-sets of [n] plus, per set, the bitset of k-sets meeting it."""
+    """Sets of [n] plus, per set, the bitset of the sets related to it.
+
+    A k-layer (``layer_context``) relates k-sets that meet; its ``adj`` is
+    None above ``_ADJ_CAP`` sets.  2^[n] (``search._subset_context``, k None,
+    set i is mask i) relates strictly incomparable sets.  Both relations are
+    symmetric, so T = ``meet_all`` is an antitone Galois map.
+    """
 
     ground: GroundSet
-    k: int
+    k: int | None
     masks: tuple[int, ...]
     index: dict
     adj: tuple[int, ...] | None
@@ -227,7 +222,7 @@ class LayerContext:
         return Family.from_masks(out, self.ground, self.k)
 
     def meet_all(self, bits: int) -> int:
-        """Bitset of all k-sets meeting every k-set selected by `bits`."""
+        """T(bits): the bitset of the sets related to every set selected by `bits`."""
         out = self.full_bits
         if self.adj is not None:
             while bits and out:
@@ -237,6 +232,15 @@ class LayerContext:
             return out
         row = t_rows(self.ground.n, self.k, 1)
         return reduce(and_, map(row, self.family_of(bits).members), out)
+
+    def saturate(self, fb: int, gb: int) -> tuple[int, int]:
+        """The fixed point of F = T(G), then G = T(F), from the pair (fb, gb)."""
+        while True:
+            nf = self.meet_all(gb)
+            ng = self.meet_all(nf)
+            if nf == fb and ng == gb:
+                return fb, gb
+            fb, gb = nf, ng
 
 
 @lru_cache(maxsize=None)
@@ -321,13 +325,7 @@ def saturate_pair(f: Family, g: Family) -> tuple[Family, Family]:
     if not is_cross_intersecting(f, g):
         raise DomainError("input pair is not cross-intersecting")
     ctx = layer_context(f.ground.n, k)
-    fb, gb = ctx.bits_of(f.members), ctx.bits_of(g.members)
-    while True:
-        nf = ctx.meet_all(gb)
-        ng = ctx.meet_all(nf)
-        if nf == fb and ng == gb:
-            break
-        fb, gb = nf, ng
+    fb, gb = ctx.saturate(ctx.bits_of(f.members), ctx.bits_of(g.members))
     return ctx.family_of(fb), ctx.family_of(gb)
 
 
@@ -360,11 +358,6 @@ def saturate_t(f: Family, t: int) -> Family:
     return out
 
 
-def _is_saturated_pair(f: Family, g: Family) -> bool:
-    nf, ng = saturate_pair(f, g)
-    return nf == f and ng == g
-
-
 def basis_pair(f: Family, g: Family) -> tuple[Family, Family]:
     """Minimal transversal bases (B(f), B(g)) of a saturated pair.
 
@@ -377,7 +370,7 @@ def basis_pair(f: Family, g: Family) -> tuple[Family, Family]:
         raise DomainError("basis of a pair with an empty side is undefined")
     if not is_cross_intersecting(f, g):
         raise DomainError("input pair is not cross-intersecting")
-    if not _is_saturated_pair(f, g):
+    if saturate_pair(f, g) != (f, g):
         raise DomainError("input pair is not saturated")
     b_f = minimal_sets(transversal_family(g, 1, k))
     b_g = minimal_sets(transversal_family(f, 1, k))

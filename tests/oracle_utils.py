@@ -294,3 +294,33 @@ def recursive_antichains(n):
 
     rec(())
     return out
+
+
+def cross_sperner_scan_oracle(n):
+    """The plain scan over every nonempty family A of subsets of [n].
+
+    B is the family of sets incomparable to every member of A.  Returns the
+    maximum of |I(A, B)| over the A with B nonempty (0 if there is none) and
+    the smallest (A-key, B-key) among the maximizers, the empty pair if the
+    maximum is 0.  A key is the ascending tuple of set bitmasks.  Families
+    are bitsets over the 2^n sets, and each one's members and B extend those
+    of the family without its lowest member.
+    """
+    num = 1 << n
+    rows = [sum(1 << u for u in range(num) if s & u not in (s, u)) for s in range(num)]
+    members = [[]] + [None] * ((1 << num) - 1)
+    partner = [(1 << num) - 1] + [None] * ((1 << num) - 1)
+    best_val, best_key = 0, ((), ())
+    for bits in range(1, 1 << num):
+        low = (bits & -bits).bit_length() - 1
+        rest = bits & (bits - 1)
+        members[bits] = [low] + members[rest]
+        partner[bits] = partner[rest] & rows[low]
+        b_sets = [u for u in range(num) if partner[bits] >> u & 1]
+        if not b_sets:
+            continue
+        val = len({a & b for a in members[bits] for b in b_sets})
+        key = (tuple(members[bits]), tuple(b_sets))
+        if val > best_val or (val == best_val and key < best_key):
+            best_val, best_key = val, key
+    return best_val, best_key

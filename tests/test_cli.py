@@ -245,12 +245,42 @@ def test_branch_csv_and_text_use_dict_form(capsys, tmp_path):
     ("--objective", "I_t_intersecting", "--n", "6", "--k", "2", "--t", "0"),
     # refused before its 2^n x 2^n incomparability table is built
     ("--objective", "cross_sperner", "--n", "24"),
+    ("--objective", "I_antichain", "--n", "14", "--budget", "10"),
+    ("--objective", "I_antichain", "--n", "40", "--budget", "10"),
 ])
 def test_search_bad_budget_or_size_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, "search", *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_antichain_budget_bounds_the_run_at_n_13(capsys):
+    code, out, _ = run_cli(capsys, "search", "--objective", "I_antichain", "--n", "13",
+                           "--budget", "10")
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert (res["nodes"], res["exhaustive"]) == (11, False)
+
+
+@pytest.mark.parametrize("name, objective", [
+    ("wedge_cross", "max_wedge_cross"),
+    ("I_cross", "max_I_cross"),
+    ("I_t_intersecting", "max_I_t_intersecting"),
+    ("I_antichain", "max_I_antichain"),
+    ("cross_sperner", "max_I_cross_sperner"),
+    ("max_I_cross", "max_I_cross"),
+])
+def test_search_objective_names(capsys, name, objective):
+    code, out, _ = run_cli(capsys, "search", "--objective", name, "--n", "3", "--k", "1",
+                           "--t", "1")
+    assert code == 0
+    assert json.loads(out)["result"]["objective"] == objective
+
+
+def test_search_unknown_objective(capsys):
+    code, out, err = run_cli(capsys, "search", "--objective", "nope", "--n", "3")
+    assert (code, out, err) == (2, "", "error: unknown objective 'nope'\n")
 
 
 def test_search_budget_still_accepted(capsys):
@@ -382,7 +412,7 @@ GOLDEN_REPORTS = [
     ("search --objective I_antichain --n 6 --budget 500",
      "74eb23726ffd710fd4503a1109b892018c9808f2fd022e34e55d8c0407c6fae8"),
     ("search --objective cross_sperner --n 4",
-     "24aa09c50c3f3b13da71bb20d1da888806e9e69da2784073a5059ba937ff5dab"),
+     "df67cfe91a1843c179d965b91f5178ff2d5d1f2d2b4715dcbcbf1dc9b247e229"),
     ("search --objective cross_sperner --n 5 --budget 2000",
      "8031b6f7d7c56d2531e06d03646cecbc54069d22dfdbc090d26cb71bc4db4ebe"),
     ("check --name inequality_grid --n 30 --k 6",

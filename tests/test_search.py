@@ -19,7 +19,9 @@ from crossfam.formulas import eval_formula
 from crossfam.search import (
     SearchProblem,
     _antichains,
+    _closed_sets,
     _maximal_cliques,
+    _subset_context,
     all_saturated_pairs,
     are_isomorphic,
     brute_count,
@@ -75,6 +77,11 @@ def test_max_I_cross_small():
     # the degenerate four-star pair attains the maximum as well
     a1, a2 = four_star_pair(5, 2)
     assert brute_count("I_pair", a1, a2) == 4
+    # k = 0: the empty set meets nothing, so no pair is scored
+    for objective in ("max_I_cross", "max_wedge_cross"):
+        res = maximize(SearchProblem(objective, n=3, k=0))
+        assert (res.value, res.nodes_explored, res.exhaustive) == (0, 1, True)
+        assert [w.members for w in res.witness] == [(), ()]
 
 
 def test_max_I_cross_rejects_large_layer():
@@ -182,6 +189,38 @@ def test_max_I_cross_sperner_values():
         eval_formula("m_even_55", n=2)
     assert maximize(SearchProblem("max_I_cross_sperner", n=4)).value == \
         eval_formula("m_even_55", n=4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cross_sperner_search_matches_scan_oracle(n):
+    # the oracle scores every nonempty family A; the search only the closed ones
+    res = maximize(SearchProblem("max_I_cross_sperner", n=n))
+    a, b = res.witness
+    assert (res.value, (a.members, b.members)) == oracle.cross_sperner_scan_oracle(n)
+    assert (res.nodes_explored, res.exhaustive) == ((1, 3, 19, 199)[n - 1], True)
+
+
+def _incomparable_to_all(xs, n):
+    return [u for u in range(1 << n) if all(s & u not in (s, u) for s in xs)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_subset_context_matches_pairwise_definition(n):
+    ctx = _subset_context(n)
+    assert ctx.masks == tuple(range(1 << n))
+    assert ctx.adj == tuple(sum(1 << u for u in _incomparable_to_all([s], n))
+                            for s in range(1 << n))
+
+
+@pytest.mark.parametrize("n,count", [(1, 2), (2, 4), (3, 20), (4, 200)])
+def test_incomparability_closed_sets(n, count):
+    closed = list(_closed_sets(_subset_context(n)))
+    assert len(closed) == count
+    if n <= 3:
+        def t_map(bits):
+            members = [s for s in range(1 << n) if bits >> s & 1]
+            return sum(1 << u for u in _incomparable_to_all(members, n))
+        assert closed == [x for x in range(1 << (1 << n)) if t_map(t_map(x)) == x]
 
 
 def test_cross_sperner_budgeted_n5():
