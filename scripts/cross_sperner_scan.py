@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Compute the cross-Sperner maximum m(n) for small n.
 
-n = 2, 3, 4 are exhaustive; n = 5 is a seeded best-effort run under a node
-budget, reported with exhaustive=false.  Each line is a JSON record with
-the observed maximum, the even/odd closed-form candidate, and the witness.
+Every n runs under one node budget, as `crossfam search --budget` does.
+n = 2, 3, 4 score their closed families (at most 199, so exhaustive at any
+budget of 199 or more); n = 5 is a seeded best-effort run of `--budget`
+random draws, reported with exhaustive=false.  Each line is a JSON record
+with the observed maximum, the even/odd closed-form candidate, and the
+witness.
 """
 
 import argparse
@@ -18,12 +21,12 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=200_000,
-                        help="node budget for the n = 5 sampled run")
+                        help="node budget of each run: the draws at n = 5")
     args = parser.parse_args()
 
     for n in (2, 3, 4, 5):
         problem = SearchProblem("max_I_cross_sperner", n=n, seed=args.seed,
-                                budget=args.budget if n == 5 else None)
+                                budget=args.budget)
         res = maximize(problem)
         if n % 2 == 0:
             candidate = eval_formula("m_even_55", n=n)

@@ -342,6 +342,8 @@ CRITERIA = (
 
 
 def run_criterion(index: int) -> CriterionResult:
+    if not 1 <= index <= len(CRITERIA):
+        raise DomainError(f"criteria are numbered 1..{len(CRITERIA)}, got {index}")
     name, fn = CRITERIA[index - 1]
     t0 = time.time()
     try:

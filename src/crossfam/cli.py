@@ -40,6 +40,13 @@ def _resolve_formula_id(raw: str) -> str:
     raise DomainError(f"unknown formula id {raw!r}")
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",") if v]
+    except ValueError:
+        raise DomainError(f"{flag} expects comma-separated integers, got {text!r}") from None
+
+
 def _parse_extra_params(pairs: list[str]) -> dict:
     out: dict = {}
     for item in pairs:
@@ -47,7 +54,7 @@ def _parse_extra_params(pairs: list[str]) -> dict:
             raise DomainError(f"--param expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         if "," in value:
-            out[key] = [int(v) for v in value.split(",") if v]
+            out[key] = _int_list(value, f"--param {key}")
         else:
             try:
                 out[key] = int(value)
@@ -196,9 +203,7 @@ def _cmd_branch(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    indices = None
-    if args.criteria:
-        indices = [int(tok) for tok in args.criteria.split(",") if tok]
+    indices = _int_list(args.criteria, "--criteria") if args.criteria else None
     results = []
     for res in acceptance.run_all(indices):
         print(res.line(), file=sys.stderr)
@@ -218,47 +223,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations on cross-intersecting set families")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--t", type=int)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    def add(name: str, summary: str, ints=(), report: bool = True) -> argparse.ArgumentParser:
+        """A subcommand with the integer flags its handler reads, --output and,
+        if it writes a report, the flags the report echoes or uses."""
+        p = sub.add_parser(name, help=summary)
+        for flag in ints:
+            p.add_argument(flag, type=int)
         p.add_argument("--output")
-        p.add_argument("--budget", type=int)
-        p.add_argument("--workers", type=int, default=1,
-                       help="accepted and echoed in the report; has no effect")
+        if report:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+            p.add_argument("--workers", type=int, default=1,
+                           help="accepted and echoed in the report; has no effect")
+        return p
 
-    p = sub.add_parser("construct", help="emit a named construction as a family file")
-    common(p)
+    p = add("construct", "emit a named construction as a family file",
+            ("--n", "--k", "--t"), report=False)
     p.add_argument("--name", required=True, choices=CONSTRUCTION_NAMES)
     p.add_argument("--param", action="append", default=[],
                    help="extra KEY=VALUE (lists comma-separated), e.g. T=1,2")
 
-    p = sub.add_parser("eval", help="evaluate a catalogued closed form")
-    common(p)
+    p = add("eval", "evaluate a catalogued closed form", ("--n", "--k", "--t", "--l", "--nu"))
     p.add_argument("--id", required=True)
-    p.add_argument("--l", type=int)
-    p.add_argument("--nu", type=int)
 
-    p = sub.add_parser("check", help="run a named invariant suite")
-    common(p)
+    p = add("check", "run a named invariant suite", ("--n", "--k"))
     p.add_argument("--name", required=True)
 
-    p = sub.add_parser("search", help="run an exhaustive or budgeted maximizer")
-    common(p)
+    p = add("search", "run an exhaustive or budgeted maximizer",
+            ("--n", "--k", "--t", "--budget"))
     p.add_argument("--objective", required=True)
 
-    p = sub.add_parser("branch", help="run a branching process on families from a file")
-    common(p)
+    p = add("branch", "run a branching process on families from a file", ("--t",))
+    p.add_argument("--k", type=int, required=True)
     p.add_argument("--name", required=True, choices=("cross", "t"))
     p.add_argument("--input", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--random-rule", action="store_true", dest="random_rule",
                    help="use a seeded random selection rule instead of the deterministic one")
 
-    p = sub.add_parser("verify-all", help="run the full acceptance suite")
-    common(p)
+    p = add("verify-all", "run the full acceptance suite")
     p.add_argument("--criteria", help="comma-separated criterion indices (default: all)")
     return parser
 

@@ -16,7 +16,10 @@ F and one scorer, ``_best_pair``, scores each with T(F); the witness is the
 smallest (F-key, G-key) among the closed maximizers.  Relabeling maps
 closed sets to closed sets, so that space is label-complete too.  On a
 layer with n = 2k every family is closed and all 2^C(n,k) are scored.  The
-n = 5 cross-Sperner sampler feeds the same scorer its random draws.
+n = 5 cross-Sperner sampler feeds the same scorer its random draws.  Every
+search takes at most `budget` nodes, reports how many it took, and is
+exhaustive exactly when no candidate was left unscored; ``_best_pair``,
+``_maximal_cliques`` and ``_best_family`` make that cut.
 
 Every count of |F wedge G| or |I(F, G)| here goes through the one kernel
 ``families._intersections``; ``brute_count`` alone keeps its own loops, as
@@ -205,19 +208,24 @@ def _closed_sets(ctx: LayerContext):
     return sorted(seen)
 
 
-def _best_pair(ctx: LayerContext, draws, distinct: bool, room: int | None = None):
-    """The value, witness and nonempty-draw count of the best (X, T(X)), X in `draws`.
+def _best_pair(ctx: LayerContext, draws, distinct: bool, budget: int | None,
+               room: int | None = None):
+    """Value, witness, node count and completeness of the best (X, T(X)), X in `draws`.
 
-    Scores |I(X, T(X))| if distinct, else |X wedge T(X)|.  A draw is pruned
-    when T(X) is empty or a bound is below the incumbent's value: |X| |T(X)|,
-    and room - |X| - |T(X)| if given.  The smallest (X-key, T(X)-key), a key
-    listing masks ascending, wins ties; with nothing scored, the empty pair.
+    Scores |I(X, T(X))| if distinct, else |X wedge T(X)|; an empty X is no
+    node.  A draw is pruned when T(X) is empty or a bound is below the
+    incumbent's value: |X| |T(X)|, and room - |X| - |T(X)| if given.  The
+    smallest (X-key, T(X)-key), a key listing masks ascending, wins ties;
+    with nothing scored, the empty pair.
     """
     masks, meet_all = ctx.masks, ctx.meet_all
-    best_val, best_key, nodes = 0, None, 0
+    best_val, best_key, nodes, complete = 0, None, 0, True
     for x in draws:
         if not x:
             continue
+        if nodes == budget:
+            complete = False
+            break
         nodes += 1
         y = meet_all(x)
         if not y:
@@ -231,7 +239,28 @@ def _best_pair(ctx: LayerContext, draws, distinct: bool, room: int | None = None
         if best_key is None or val > best_val or (val == best_val and key < best_key):
             best_val, best_key = val, key
     witness = tuple(Family.from_masks(side, ctx.ground, ctx.k) for side in best_key or ((), ()))
-    return best_val, witness, nodes
+    return best_val, witness, nodes, complete
+
+
+def _best_family(keys, ground: GroundSet, k: int | None, budget: int | None):
+    """Value, witness, node count and completeness of the best family in `keys`.
+
+    A key lists masks ascending and scores |I(F, F)|.  c members have at most
+    C(c, 2) distinct intersections, so a key with C(c, 2) below the incumbent's
+    value is pruned.  The smallest key wins ties; with none scored, the empty family.
+    """
+    best_val, best_key, nodes, complete = 0, None, 0, True
+    for key in keys:
+        if nodes == budget:
+            complete = False
+            break
+        nodes += 1
+        if comb(len(key), 2) < best_val:
+            continue
+        val = len(_intersections(key, key, distinct=True))
+        if best_key is None or val > best_val or (val == best_val and key < best_key):
+            best_val, best_key = val, key
+    return best_val, Family.from_masks(best_key or (), ground, k), nodes, complete
 
 
 # --- cross-intersecting maximizers -----------------------------------------
@@ -242,21 +271,16 @@ def _maximize_cross(p: SearchProblem, distinct: bool) -> SearchResult:
     layer_size = comb(p.n, p.k)
     if layer_size > _CROSS_LAYER_CAP:
         raise DomainError(
-            f"C({p.n},{p.k}) = {layer_size} exceeds the exhaustive cap "
-            f"C(n,k) <= {_CROSS_LAYER_CAP} of {p.objective}; this objective "
-            f"has no budgeted mode")
+            f"C({p.n},{p.k}) = {layer_size} exceeds the layer cap "
+            f"C(n,k) <= {_CROSS_LAYER_CAP} of {p.objective}")
     ctx = layer_context(p.n, p.k)
-    return SearchResult(*_best_pair(ctx, _closed_sets(ctx), distinct), True)
+    return SearchResult(*_best_pair(ctx, _closed_sets(ctx), distinct, p.budget))
 
 
 # --- t-intersecting maximizer via maximal cliques --------------------------
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def _maximal_cliques(ctx: LayerContext, t: int, budget: int | None):
-    """Layer bitsets of the maximal t-intersecting subfamilies, and nodes.
+    """Layer bitsets of maximal t-intersecting subfamilies, node count, completeness.
 
     Bron-Kerbosch with pivoting on an explicit stack, so a clique of
     thousands of k-sets needs no recursion.  A node's children are pushed
@@ -269,10 +293,10 @@ def _maximal_cliques(ctx: LayerContext, t: int, budget: int | None):
     nodes = 0
     stack = [(0, ctx.full_bits, 0)]
     while stack:
+        if nodes == budget:
+            return out, nodes, False
         rb, pb, xb = stack.pop()
         nodes += 1
-        if budget is not None and nodes > budget:
-            raise _BudgetExceeded
         if pb == 0 and xb == 0:
             out.append(rb)
             continue
@@ -287,42 +311,28 @@ def _maximal_cliques(ctx: LayerContext, t: int, budget: int | None):
             xb |= low
             cand ^= low
         stack += reversed(children)
-    return out, nodes
+    return out, nodes, True
 
 
-def maximal_t_intersecting_families(n: int, k: int, t: int,
-                                    budget: int | None = None):
-    """All maximal t-intersecting k-uniform families on [n], as Families.
+def maximal_t_intersecting_families(n: int, k: int, t: int):
+    """All maximal t-intersecting k-uniform families on [n], as Families, and nodes.
 
     Enumerated as maximal cliques of the compatibility graph with pivoting.
-    Raises on budget exhaustion.
     """
     ctx = layer_context(n, k)
-    cliques, nodes = _maximal_cliques(ctx, t, budget)
+    cliques, nodes, _ = _maximal_cliques(ctx, t, None)
     return [ctx.family_of(rb) for rb in cliques], nodes
 
 
 def _maximize_t_intersecting(p: SearchProblem) -> SearchResult:
     if p.k is None or p.t is None:
         raise DomainError("max_I_t_intersecting needs k and t")
-    budget = p.budget if p.budget is not None else 10 ** 6
     ctx = layer_context(p.n, p.k)
-    try:
-        cliques, nodes = _maximal_cliques(ctx, p.t, budget)
-    except _BudgetExceeded:
-        raise DomainError(
-            f"clique enumeration exceeded the node budget {budget}")
-    best_val, best_key = -1, None
-    for rb in cliques:
-        # c members have at most C(c, 2) distinct pairwise intersections
-        if comb(rb.bit_count(), 2) < best_val:
-            continue
-        key = tuple(ctx.masks[i] for i in _indices(rb))
-        val = len(_intersections(key, key, distinct=True))
-        if val > best_val or (val == best_val and key < best_key):
-            best_val, best_key = val, key
-    return SearchResult(best_val, Family.from_masks(best_key, ctx.ground, p.k),
-                        nodes, True)
+    cliques, nodes, complete = _maximal_cliques(
+        ctx, p.t, p.budget if p.budget is not None else 10 ** 6)
+    keys = (tuple(ctx.masks[i] for i in _indices(rb)) for rb in cliques)
+    value, witness, _, _ = _best_family(keys, ctx.ground, p.k, None)
+    return SearchResult(value, witness, nodes, complete)
 
 
 # --- antichain and cross-Sperner maximizers --------------------------------
@@ -358,19 +368,7 @@ def _maximize_antichain(p: SearchProblem) -> SearchResult:
         raise DomainError(
             "antichain search is exhaustive only for n <= 5; set a budget "
             "for a best-effort run")
-    best_val, best_key = -1, None
-    nodes = 0
-    exhaustive = True
-    for chosen in _antichains(p.n):
-        nodes += 1
-        if p.budget is not None and nodes > p.budget:
-            exhaustive = False
-            break
-        val = len(_intersections(chosen, chosen, distinct=True))
-        if val > best_val or (val == best_val and chosen < best_key):
-            best_val, best_key = val, chosen
-    return SearchResult(best_val, Family.from_masks(best_key, GroundSet(p.n)), nodes,
-                        exhaustive)
+    return SearchResult(*_best_family(_antichains(p.n), GroundSet(p.n), None, p.budget))
 
 
 def _maximize_cross_sperner(p: SearchProblem) -> SearchResult:
@@ -379,16 +377,17 @@ def _maximize_cross_sperner(p: SearchProblem) -> SearchResult:
         raise DomainError("cross-Sperner search supports n <= 4 exhaustively, n = 5 budgeted")
     ctx = _subset_context(n)
     if n <= 4:
-        draws = _closed_sets(ctx)
+        draws, budget = _closed_sets(ctx), p.budget
     else:
         budget = p.budget if p.budget is not None else 10 ** 5
         rng = random.Random(f"{p.seed}:cross_sperner")
         # sample picks by position alone, so this draws the sets range(2^n) would;
-        # they come as distinct one-bit masks, whose sum is their union
+        # they come as distinct one-bit masks, whose sum is their union.  The
+        # stream never ends, so the budget cuts it and the run is never exhaustive
         one_bits = [1 << s for s in range(1 << n)]
-        draws = (sum(rng.sample(one_bits, rng.randint(1, 12))) for _ in range(budget))
+        draws = iter(lambda: sum(rng.sample(one_bits, rng.randint(1, 12))), None)
     # no intersection of A and B lies in A, in B or is [n]
-    return SearchResult(*_best_pair(ctx, draws, True, room=(1 << n) - 1), n <= 4)
+    return SearchResult(*_best_pair(ctx, draws, True, budget, room=(1 << n) - 1))
 
 
 # objective id -> maximizer; the ids are the CLI's long objective names

@@ -260,7 +260,50 @@ def test_antichain_budget_bounds_the_run_at_n_13(capsys):
                            "--budget", "10")
     assert code == 0
     res = json.loads(out)["result"]
-    assert (res["nodes"], res["exhaustive"]) == (11, False)
+    assert (res["nodes"], res["exhaustive"]) == (10, False)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--objective", "cross_sperner", "--n", "4", "--budget", "5"),
+    ("--objective", "I_t_intersecting", "--n", "8", "--k", "3", "--t", "1", "--budget", "100"),
+])
+def test_search_budget_cut_is_a_truncated_result(capsys, argv):
+    # running out of budget is no bad input: exit 0, and the report says it
+    code, out, _ = run_cli(capsys, "search", *argv)
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert (res["nodes"], res["exhaustive"]) == (int(argv[-1]), False)
+
+
+_UNREAD = "unrecognized arguments"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("construct", "--name", "star", "--n", "6", "--k", "3", "--param", "T=1,x"),
+     "error: --param T expects comma-separated integers, got '1,x'"),
+    (("verify-all", "--criteria", "x"),
+     "error: --criteria expects comma-separated integers, got 'x'"),
+    (("verify-all", "--criteria", "13"), "error: criteria are numbered 1..12, got 13"),
+    (("verify-all", "--criteria", "0"), "error: criteria are numbered 1..12, got 0"),
+    (("verify-all", "--criteria", "-1"), "error: criteria are numbered 1..12, got -1"),
+    (("branch", "--name", "t", "--input", "basis.fam", "--t", "1", "--r", "2"),
+     "error: the following arguments are required: --k"),
+    # a flag its command does not read
+    (("construct", "--name", "A1", "--n", "8", "--k", "3", "--seed", "1"), _UNREAD),
+    (("construct", "--name", "A1", "--n", "8", "--k", "3", "--format", "csv"), _UNREAD),
+    (("construct", "--name", "A1", "--n", "8", "--k", "3", "--budget", "5"), _UNREAD),
+    (("construct", "--name", "A1", "--n", "8", "--k", "3", "--workers", "1"), _UNREAD),
+    (("verify-all", "--criteria", "1", "--n", "5"), _UNREAD),
+    (("verify-all", "--criteria", "1", "--budget", "5"), _UNREAD),
+    (("branch", "--name", "t", "--input", "basis.fam", "--t", "1", "--k", "3", "--r", "2",
+      "--budget", "5"), _UNREAD),
+    (("eval", "--id", "binom", "--n", "6", "--k", "3", "--budget", "5"), _UNREAD),
+    (("check", "--name", "oracle_agreement", "--t", "1"), _UNREAD),
+])
+def test_malformed_cli_input_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 @pytest.mark.parametrize("name, objective", [
@@ -410,7 +453,7 @@ GOLDEN_REPORTS = [
     ("search --objective I_antichain --n 4",
      "7acc57a2dbde76e6b06735eebe3e658d7ed9841b449aee5b103ec0a28ff207be"),
     ("search --objective I_antichain --n 6 --budget 500",
-     "74eb23726ffd710fd4503a1109b892018c9808f2fd022e34e55d8c0407c6fae8"),
+     "dd2f1b55fdf955b17e0f1baf907fc8cd6bc5406372eeb151af1e5670dbac6b01"),
     ("search --objective cross_sperner --n 4",
      "df67cfe91a1843c179d965b91f5178ff2d5d1f2d2b4715dcbcbf1dc9b247e229"),
     ("search --objective cross_sperner --n 5 --budget 2000",

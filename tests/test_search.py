@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -85,9 +86,9 @@ def test_max_I_cross_small():
 
 
 def test_max_I_cross_rejects_large_layer():
-    with pytest.raises(DomainError, match=r"^C\(10,3\) = 120 exceeds the exhaustive cap "
-                       r"C\(n,k\) <= 24 of max_I_cross; this objective has no "
-                       r"budgeted mode$"):
+    # a budget caps nodes, not the layer size
+    with pytest.raises(DomainError, match=r"^C\(10,3\) = 120 exceeds the layer cap "
+                       r"C\(n,k\) <= 24 of max_I_cross$"):
         maximize(SearchProblem("max_I_cross", n=10, k=3, budget=1000))
 
 
@@ -153,7 +154,8 @@ def test_maximal_cliques_of_large_k_layers():
 @pytest.mark.parametrize("n,k,t", [(6, 2, 1), (7, 3, 1), (8, 3, 1), (8, 3, 2), (7, 4, 2)])
 def test_maximal_cliques_match_recursive_oracle(n, k, t):
     # the explicit stack visits the nodes of the recursion, in its order
-    assert _maximal_cliques(layer_context(n, k), t, None) == oracle.recursive_cliques(n, k, t)
+    want = (*oracle.recursive_cliques(n, k, t), True)
+    assert _maximal_cliques(layer_context(n, k), t, None) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -170,9 +172,9 @@ def test_max_I_antichain():
     assert res5.value == 15
     with pytest.raises(DomainError):
         maximize(SearchProblem("max_I_antichain", n=6))
-    # a budget of 100 scores the first 100 antichains and stops at node 101
+    # a budget of 100 takes the first 100 antichains
     res = maximize(SearchProblem("max_I_antichain", n=5, budget=100))
-    assert (res.nodes_explored, res.exhaustive) == (101, False)
+    assert (res.nodes_explored, res.exhaustive) == (100, False)
     first = oracle.recursive_antichains(5)[:100]
     assert res.value == max(len(oracle.distinct_sets(a, a)) for a in first)
 
@@ -239,6 +241,38 @@ def test_search_determinism():
     assert r1.value == r2.value
     assert r1.witness == r2.witness
     assert r1.nodes_explored == r2.nodes_explored
+
+
+@pytest.mark.parametrize("problem", [
+    SearchProblem("max_wedge_cross", n=5, k=2),
+    SearchProblem("max_I_cross", n=6, k=2),
+    SearchProblem("max_I_t_intersecting", n=6, k=3, t=1),
+    SearchProblem("max_I_antichain", n=4),
+    SearchProblem("max_I_cross_sperner", n=4),
+], ids=lambda p: p.objective)
+def test_one_budget_rule(problem):
+    # at most `budget` nodes are taken; a run is exhaustive exactly when none was left
+    full = maximize(problem)
+    total = full.nodes_explored
+    assert full.exhaustive and total > 2
+    for budget in (1, total // 2, total - 1):
+        res = maximize(replace(problem, budget=budget))
+        assert (res.nodes_explored, res.exhaustive) == (budget, False)
+        assert res.value <= full.value
+    for budget in (total, total + 1):
+        res = maximize(replace(problem, budget=budget))
+        assert (res.value, res.witness, res.nodes_explored, res.exhaustive) == (
+            full.value, full.witness, total, True)
+
+
+def test_cross_sperner_sampler_is_never_exhaustive():
+    # the draws never end: any budget, the default 10^5 included, is used up;
+    # a run scores the first `budget` draws of one seeded stream
+    p = SearchProblem("max_I_cross_sperner", n=5, seed=3)
+    runs = [maximize(replace(p, budget=b)) for b in (1, 300, 2000)] + [maximize(p)]
+    assert [(r.nodes_explored, r.exhaustive) for r in runs] == [
+        (1, False), (300, False), (2000, False), (10 ** 5, False)]
+    assert runs[0].value <= runs[1].value <= runs[2].value <= runs[3].value
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 16) for k in range(1, n + 1)
