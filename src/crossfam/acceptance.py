@@ -341,9 +341,13 @@ CRITERIA = (
 )
 
 
-def run_criterion(index: int) -> CriterionResult:
+def _require_index(index: int) -> None:
     if not 1 <= index <= len(CRITERIA):
         raise DomainError(f"criteria are numbered 1..{len(CRITERIA)}, got {index}")
+
+
+def run_criterion(index: int) -> CriterionResult:
+    _require_index(index)
     name, fn = CRITERIA[index - 1]
     t0 = time.time()
     try:
@@ -354,5 +358,10 @@ def run_criterion(index: int) -> CriterionResult:
 
 
 def run_all(indices=None) -> list[CriterionResult]:
-    todo = indices if indices is not None else range(1, len(CRITERIA) + 1)
+    """Run the criteria in `indices` (default: all), after checking every index."""
+    todo = list(indices) if indices is not None else range(1, len(CRITERIA) + 1)
+    if not todo:
+        raise DomainError(f"no criterion selected; criteria are numbered 1..{len(CRITERIA)}")
+    for i in todo:
+        _require_index(i)
     return [run_criterion(i) for i in todo]

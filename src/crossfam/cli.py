@@ -203,7 +203,7 @@ def _cmd_branch(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    indices = _int_list(args.criteria, "--criteria") if args.criteria else None
+    indices = _int_list(args.criteria, "--criteria") if args.criteria is not None else None
     results = []
     for res in acceptance.run_all(indices):
         print(res.line(), file=sys.stderr)
@@ -220,13 +220,14 @@ def _cmd_verify_all(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crossfam",
-        description="Exact computations on cross-intersecting set families")
+        description="Exact computations on cross-intersecting set families",
+        allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, summary: str, ints=(), report: bool = True) -> argparse.ArgumentParser:
         """A subcommand with the integer flags its handler reads, --output and,
         if it writes a report, the flags the report echoes or uses."""
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         for flag in ints:
             p.add_argument(flag, type=int)
         p.add_argument("--output")

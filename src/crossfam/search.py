@@ -95,6 +95,18 @@ def _indices(bits: int) -> list[int]:
     return out
 
 
+def _nth_bit(bits: int, j: int) -> int:
+    """The index of the set bit of rank j (0 = lowest) in bits, by bisecting on prefix counts."""
+    lo, hi = 0, bits.bit_length() - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (bits & ((2 << mid) - 1)).bit_count() > j:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
@@ -432,10 +444,11 @@ def sample_saturated_pair_bits(ctx: LayerContext, rng: random.Random,
         cand = ctx.meet_all(fb)
         if not cand:
             continue
-        cand_idx = _indices(cand)
+        # ranks among cand's set bits: random.sample reads only the population's length
+        size = cand.bit_count()
         gb = 0
-        for i in rng.sample(cand_idx, rng.randint(1, min(max_members, len(cand_idx)))):
-            gb |= 1 << i
+        for j in rng.sample(range(size), rng.randint(1, min(max_members, size))):
+            gb |= 1 << _nth_bit(cand, j)
         return ctx.saturate(fb, gb)
     raise RuntimeError("could not sample a cross-intersecting pair")
 
@@ -460,10 +473,10 @@ def sample_saturated_t_family(n: int, k: int, t: int, rng: random.Random,
     allowed = ctx.full_bits
     for _ in range(rng.randint(0, max_members - 1)):
         allowed &= row(chosen[-1]) & ~(1 << ctx.index[chosen[-1]])
-        pool = _indices(allowed)
-        if not pool:
+        size = allowed.bit_count()
+        if not size:
             break
-        chosen.append(ctx.masks[rng.choice(pool)])
+        chosen.append(ctx.masks[_nth_bit(allowed, rng.choice(range(size)))])
     return transversals.saturate_t(Family.from_masks(chosen, ctx.ground, k), t)
 
 

@@ -59,7 +59,16 @@ def transversal_family(f: Family, t: int, max_size: int) -> Family:
 
 
 def covering_number(f: Family, t: int = 1) -> int:
-    """Minimum size of a set meeting every member of f in >= t elements."""
+    """Minimum size of a set meeting every member of f in >= t elements.
+
+    A greedy cover gives the first upper bound; a depth-first search then
+    branches on the elements of a most-deficient member.  A branch is pruned
+    by a packing bound: deficient members whose free parts (elements not yet
+    chosen) are pairwise disjoint, picked greedily, each need their own
+    deficit of new elements, so the sum of their deficits is a lower bound.
+    The greedy pick can skip the most deficient member, so the prune takes
+    the larger of that sum and the worst single deficit.
+    """
     if not f.members:
         raise DomainError("covering number of the empty family is undefined")
     if t < 1:
@@ -88,16 +97,20 @@ def covering_number(f: Family, t: int = 1) -> int:
         nonlocal best
         if cnt >= best:
             return
-        target = 0
-        worst = 0
+        target = worst = need = used = 0
         for m in members:
             d = t - (m & cm).bit_count()
-            if d > worst:
-                worst, target = d, m
+            if d > 0:
+                free = m & ~cm
+                if not free & used:  # packing: no new element serves two of these
+                    used |= free
+                    need += d
+                if d > worst:
+                    worst, target = d, m
         if target == 0:
             best = cnt
             return
-        if cnt + worst >= best:
+        if cnt + max(need, worst) >= best:
             return
         rest = target & ~cm
         while rest:
@@ -234,13 +247,15 @@ class LayerContext:
         return reduce(and_, map(row, self.family_of(bits).members), out)
 
     def saturate(self, fb: int, gb: int) -> tuple[int, int]:
-        """The fixed point of F = T(G), then G = T(F), from the pair (fb, gb)."""
-        while True:
-            nf = self.meet_all(gb)
-            ng = self.meet_all(nf)
-            if nf == fb and ng == gb:
-                return fb, gb
-            fb, gb = nf, ng
+        """The fixed point of F = T(G), then G = T(F), from the pair (fb, gb): (T(G), T(T(G))).
+
+        One round reaches it.  T is the antitone Galois map of a symmetric relation
+        (Ganter & Wille, *Formal Concept Analysis*, 1999): X <= T(T(X)), so
+        T(T(T(X))) = T(X), and a second round would give T(T(T(G))) = T(G) and then
+        T(T(G)) again.  So the result depends on gb alone, whatever fb was.
+        """
+        nf = self.meet_all(gb)
+        return nf, self.meet_all(nf)
 
 
 @lru_cache(maxsize=None)
@@ -315,10 +330,12 @@ def _uniformity_of_pair(f: Family, g: Family) -> int:
 def saturate_pair(f: Family, g: Family) -> tuple[Family, Family]:
     """The saturated cross-intersecting pair generated by (f, g).
 
-    Alternately replaces the F side by every k-set meeting all of G and
-    then the G side by every k-set meeting all of F until nothing changes.
-    Both sides only ever grow, so the fixed point is the unique maximal
-    pair for this alternation order.
+    Replaces the F side by every k-set meeting all of G and then the G side
+    by every k-set meeting all of the new F.  That one round is the fixed
+    point of the alternation: T = "every k-set meeting all of" satisfies
+    T(T(T(X))) = T(X), so the result is (T(G), T(T(G))) whatever f was.
+    Both sides only grow (f <= T(g) and g <= T(T(g))), so this is the
+    unique maximal pair for this alternation order.
     """
     _require_same_ground(f, g)
     k = _uniformity_of_pair(f, g)

@@ -249,6 +249,39 @@ def sample_t_draws(n, k, t, rng, max_members=3):
     return chosen
 
 
+def saturate_loop(f, g, n, k):
+    """Saturation of a pair of k-set bitmask lists, by alternation to a fixed point.
+
+    F becomes every k-set of [n] meeting all of G, then G every k-set
+    meeting all of the new F; rounds repeat until one changes nothing.
+    Returns (sorted F, sorted G).
+    """
+    layer = _layer_masks(n, k)
+    f, g = sorted(f), sorted(g)
+    while True:
+        nf = [h for h in layer if all(h & m for m in g)]
+        ng = [h for h in layer if all(h & m for m in nf)]
+        if (nf, ng) == (f, g):
+            return f, g
+        f, g = nf, ng
+
+
+def sample_pair_draws(n, k, rng, max_members=3):
+    """The k-set bitmasks the saturated-pair sampler draws, before saturation.
+
+    F is 1..max_members k-sets of the sorted layer; G is 1..max_members
+    k-sets of the list of sorted k-sets meeting every member of F.  An F
+    with an empty list is drawn again, up to 200 times.
+    """
+    layer = _layer_masks(n, k)
+    for _ in range(200):
+        f = rng.sample(layer, rng.randint(1, max_members))
+        pool = [h for h in layer if all(h & m for m in f)]
+        if pool:
+            return f, rng.sample(pool, rng.randint(1, min(max_members, len(pool))))
+    raise AssertionError("no cross-intersecting draw in 200 tries")
+
+
 def recursive_cliques(n, k, t):
     """The maximal t-intersecting families of k-sets, by recursive Bron-Kerbosch.
 

@@ -299,11 +299,32 @@ _UNREAD = "unrecognized arguments"
       "--budget", "5"), _UNREAD),
     (("eval", "--id", "binom", "--n", "6", "--k", "3", "--budget", "5"), _UNREAD),
     (("check", "--name", "oracle_agreement", "--t", "1"), _UNREAD),
+    # no flag is taken from a prefix of its name
+    (("search", "--objective", "I_cross", "--n", "5", "--k", "2", "--bud", "3"),
+     "unrecognized arguments: --bud 3"),
+    (("branch", "--name", "t", "--input", "basis.fam", "--t", "1", "--k", "3", "--r", "2",
+      "--n", "6"), "unrecognized arguments: --n 6"),
+    (("search", "--obj", "I_cross", "--n", "5", "--k", "2"),
+     "the following arguments are required: --objective"),
+    (("--he",), "the following arguments are required: command"),
+    # every index is checked before any criterion runs
+    (("verify-all", "--criteria", "12,13"), "error: criteria are numbered 1..12, got 13"),
+    (("verify-all", "--criteria", ","),
+     "error: no criterion selected; criteria are numbered 1..12"),
 ])
 def test_malformed_cli_input_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize("criteria", ["12,13", "1,0", ",", ""])
+def test_verify_all_checks_every_index_before_running(capsys, monkeypatch, criteria):
+    ran = []
+    monkeypatch.setattr(cli.acceptance, "run_criterion", ran.append)
+    code, out, err = run_cli(capsys, "verify-all", "--criteria", criteria)
+    assert (code, out, ran) == (2, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name, objective", [

@@ -21,7 +21,9 @@ from crossfam.search import (
     SearchProblem,
     _antichains,
     _closed_sets,
+    _indices,
     _maximal_cliques,
+    _nth_bit,
     _subset_context,
     all_saturated_pairs,
     are_isomorphic,
@@ -131,6 +133,24 @@ def test_t_family_sampler_matches_pool_sampler(n, k, t):
         want = oracle.saturate_t_sweep(oracle.sample_t_draws(n, k, t, old), n, k, t)
         assert list(got.members) == want
         assert new.random() == old.random()
+
+
+@pytest.mark.parametrize("n,k", [(8, 2), (10, 3)])
+def test_pair_sampler_matches_pool_sampler(n, k):
+    # equal pairs and an equal next draw: the rng saw the same calls
+    ctx = layer_context(n, k)
+    for i in range(60):
+        new, old = random.Random(f"psample:{i}"), random.Random(f"psample:{i}")
+        got = sample_saturated_pair_bits(ctx, new)
+        want = oracle.saturate_loop(*oracle.sample_pair_draws(n, k, old), n, k)
+        assert got == tuple(ctx.bits_of(side) for side in want)
+        assert new.random() == old.random()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 1 << 300))
+def test_nth_bit_matches_indices(bits):
+    assert [_nth_bit(bits, j) for j in range(bits.bit_count())] == _indices(bits)
 
 
 def test_maximal_clique_counts():

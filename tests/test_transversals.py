@@ -79,6 +79,21 @@ def test_covering_number_examples():
         covering_number(fam([(1,)], 4), 2)
 
 
+def test_covering_number_matches_oracle():
+    # t = 2, after choosing 1: {1,2} lacks one, {1,2,3} one, {2,6,7} two; the
+    # last two free parts meet the first's, so the packing skips the worst
+    # member and the prune must still count its deficit
+    skip = [(1, 2), (1, 2, 3), (2, 6, 7)]
+    assert covering_number(fam(skip, 7), 2) == oracle.min_cover_size(
+        [frozenset(s) for s in skip], 2) == 3
+    for i in range(500):
+        rng = random.Random(f"cover:{i}")
+        n, t = rng.randint(3, 9), rng.randint(1, 3)
+        sets = sorted({frozenset(rng.sample(range(1, n + 1), rng.randint(t, n)))
+                       for _ in range(rng.randint(1, 8))}, key=sorted)
+        assert covering_number(fam(sets, n), t) == oracle.min_cover_size(sets, t), (n, t, sets)
+
+
 def test_matching_number_examples():
     four = fam([(1,), (2,), (3,), (4,)], 4)
     assert matching_number(four) == 4
@@ -117,6 +132,21 @@ def test_saturate_pair_matching_grows_to_cycle():
     assert is_cross_intersecting(fs, gs)
     # saturation cannot shrink the distinct-intersection count
     assert len(distinct_intersections(fs, gs)) >= len(distinct_intersections(f0, g0))
+
+
+@pytest.mark.parametrize("n,k,pairs", [(6, 2, 60), (8, 2, 60), (10, 3, 40), (12, 4, 20),
+                                       (14, 5, 8)])
+def test_saturate_is_one_round(n, k, pairs):
+    # any pair, cross-intersecting or not, empty sides included; (14, 5) has no adj table
+    ctx = layer_context(n, k)
+    assert (ctx.adj is None) == (comb(n, k) > _ADJ_CAP)
+    for i in range(pairs):
+        rng = random.Random(f"saturate:{n}:{k}:{i}")
+        f = rng.sample(ctx.masks, rng.randint(0, 3))
+        g = rng.sample(ctx.masks, rng.randint(0, 3))
+        want_f, want_g = oracle.saturate_loop(f, g, n, k)
+        assert ctx.saturate(ctx.bits_of(f), ctx.bits_of(g)) == (
+            ctx.bits_of(want_f), ctx.bits_of(want_g))
 
 
 def test_saturate_pair_rejects_non_cross():
