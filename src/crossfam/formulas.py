@@ -9,8 +9,14 @@ Formula and inequality identifiers are stable strings used verbatim by the
 command line interface.  Each is a key of an id-keyed table (``_FORMULAS``,
 ``_INEQUALITIES``) whose entry holds the parameter names, a domain
 predicate, the statement a refused tuple is reported with, and the kernel;
-``eval_formula`` and ``check_inequality`` share one lookup, validation and
-call path, and FORMULA_IDS and INEQUALITY_IDS are the tables' keys.
+``eval_formula`` and ``check_inequality`` share one lookup and validation
+path, and FORMULA_IDS and INEQUALITY_IDS are the tables' keys.
+
+An inequality kernel is row-shaped: one parameter (``_ROW_PARAM``) comes as
+a range, the factors that do not depend on it are computed once, and the
+kernel returns the row's values at which the inequality fails.
+``check_inequality`` runs it on a one-value row and ``inequality_grid`` on
+whole rows, so each inequality has exactly one implementation.
 """
 
 from __future__ import annotations
@@ -59,13 +65,19 @@ def _need(params: dict, *names: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _i_a1a2_15(n: int, k: int) -> int:
-    # the domain depends on k (the triple-stars are empty at k = 2), so the
-    # kernel checks it itself
+def _a1a2_floor(k: int) -> int:
+    # the four-star pair needs 4 points at k = 2 (its triple-stars are empty)
+    # and 6 above; the closed form counts it from n = 2k - 1 on
+    return max(2 * k - 1, 4 if k == 2 else 6)
+
+
+def _a1a2_refusal(n: int, k: int) -> str:
     if k < 2:
-        raise DomainError(f"need k >= 2, got k={k}")
-    if n < (6 if k >= 3 else 4):
-        raise DomainError(f"need n >= {6 if k >= 3 else 4} at k={k}, got n={n}")
+        return f"need k >= 2, got k={k}"
+    return f"need n >= {_a1a2_floor(k)} at k={k}, got n={n}"
+
+
+def _i_a1a2_15(n: int, k: int) -> int:
     return (4 * partial_sum(n - 4, k - 2)
             + 6 * partial_sum(n - 4, k - 3)
             + 4 * partial_sum(n - 4, k - 4)
@@ -88,19 +100,24 @@ def _example52(n: int) -> int:
 
 
 # id -> (parameter names, domain predicate or None, domain statement, kernel);
-# the predicate and the kernel take the parameters positionally in that order
+# the predicate and the kernel take the parameters positionally in that order.
+# A refused tuple is reported as the statement followed by " got <params>", or,
+# where the statement is a function of the parameters, as what it returns.
+# The closed forms of constructions accept only the n at which they equal the
+# construction's count: n >= 2k - 1, or n >= 2k - t with a t-set kernel.
 _FORMULAS = {
     "binom": (("n", "k"), None, "", binomial),
     "partial_sum": (("n", "k"), None, "", partial_sum),
     "wedge_star_13": (
-        ("n", "k"), lambda n, k: 1 <= k <= n, "need 1 <= k <= n,",
+        ("n", "k"), lambda n, k: k >= 1 and n >= 2 * k - 1, "need k >= 1, n >= 2k-1;",
         lambda n, k: partial_sum(n - 1, k - 1)),
-    "I_A1A2_15": (("n", "k"), None, "", _i_a1a2_15),
+    "I_A1A2_15": (
+        ("n", "k"), lambda n, k: k >= 2 and n >= _a1a2_floor(k), _a1a2_refusal, _i_a1a2_15),
     "I_Ankt_17": (
-        ("n", "k", "t"), lambda n, k, t: t >= 1 and k >= t + 1 and n >= max(k, t + 2),
-        "need t >= 1, k > t, n >= max(k, t+2);", _i_ankt_17),
+        ("n", "k", "t"), lambda n, k, t: t >= 1 and k > t and n >= 2 * k - t,
+        "need t >= 1, k > t, n >= 2k-t;", _i_ankt_17),
     "I_A3_case31": (
-        ("n", "k"), lambda n, k: k >= 2 and n >= max(k, 3), "need k >= 2, n >= max(k, 3);",
+        ("n", "k"), lambda n, k: k >= 2 and n >= 2 * k - 1, "need k >= 2, n >= 2k-1;",
         lambda n, k: (3 * partial_sum(n - 3, k - 2) + 3 * partial_sum(n - 3, k - 3)
                       + partial_sum(n - 3, k - 4))),
     "lemma22_rhs": (
@@ -127,7 +144,8 @@ _FORMULAS = {
         ("n", "k", "nu"), lambda n, k, nu: 1 <= k <= n and nu >= 0, "need 1 <= k <= n, nu >= 0;",
         lambda n, k, nu: nu * binomial(n - 1, k - 1)),
     "I_star_t": (
-        ("n", "k", "t"), lambda n, k, t: 1 <= t <= k <= n, "need 1 <= t <= k <= n;",
+        ("n", "k", "t"), lambda n, k, t: 1 <= t <= k and n >= 2 * k - t,
+        "need 1 <= t <= k, n >= 2k-t;",
         lambda n, k, t: partial_sum(n - t, k - t - 1)),
     "f_cross": (
         ("n", "k", "l"), lambda n, k, l: 2 <= l <= k and n >= 1, "need 2 <= l <= k, n >= 1;",
@@ -147,25 +165,34 @@ _FORMULAS = {
 }
 
 
-def _ineq_1_7(n: int, k: int, p: int) -> bool:
-    return (n - p * (k + 1)) * binomial(n, k) <= (n - p) * binomial(n - p, k)
+def _ineq_1_7(n: int, k: int, ps: range) -> list[int]:
+    # (n - p(k+1)) C(n, k) <= (n - p) C(n - p, k); C(n, k) is the row's
+    c, k1 = comb(n, k), k + 1
+    return [p for p in ps if (n - p * k1) * c > (n - p) * comb(n - p, k)]
 
 
-def _ineq_1_8(n: int, k: int, l: int, t: int, p: int) -> bool:
-    lhs = (n - t - p * k) * partial_sum(n - t, k - l)
-    rhs = (n - t - p) * partial_sum(n - t - p, k - l)
-    return lhs <= rhs
+def _ineq_1_8(n: int, k: int, l: int, t: int, ps: range) -> list[int]:
+    # (a - pk) S(a, k-l) <= (a - p) S(a - p, k-l) with a = n - t: the kernel
+    # reads (n, t) only through a, and S(a, k-l) is the row's
+    a, j = n - t, k - l
+    s = partial_sum(a, j)
+    return [p for p in ps if (a - p * k) * s > (a - p) * partial_sum(a - p, j)]
 
 
-def _ineq_1_9(n: int, k: int, l: int, t: int) -> bool:
-    return (n - t - k) * partial_sum(n - t, k - l - 1) <= k * partial_sum(n - t, k - l)
+def _ineq_1_9(n: int, k: int, ls: range, t: int) -> list[int]:
+    # (a - k) S(a, k-l-1) <= k S(a, k-l) with a = n - t
+    a = n - t
+    c = a - k
+    return [l for l in ls if c * partial_sum(a, k - l - 1) > k * partial_sum(a, k - l)]
 
 
-def _ineq_1_10(l: int, t: int) -> bool:
-    return (2 * t + 2) * _tail_sum(l, t, l) >= _tail_sum(l + 1, t, l + 1)
+def _ineq_1_10(l: int, ts: range) -> list[int]:
+    # (2t + 2) T(l, t) >= T(l+1, t), T(m, t) the sum of C(m, j) over t <= j <= m
+    return [t for t in ts if (2 * t + 2) * _tail_sum(l, t, l) < _tail_sum(l + 1, t, l + 1)]
 
 
-# the same shape as _FORMULAS
+# the same shape as _FORMULAS; each kernel takes _ROW_PARAM[id] as a range and
+# returns the values in it at which the inequality fails
 _INEQUALITIES = {
     "ineq_1_7": (
         ("n", "k", "p"),
@@ -188,6 +215,7 @@ _INEQUALITIES = {
         "need t >= 1, l >= t+1;",
         _ineq_1_10),
 }
+_ROW_PARAM = {"ineq_1_7": "p", "ineq_1_8": "p", "ineq_1_9": "l", "ineq_1_10": "t"}
 
 FORMULA_IDS = tuple(_FORMULAS)
 INEQUALITY_IDS = tuple(_INEQUALITIES)
@@ -195,34 +223,41 @@ INEQUALITY_IDS = tuple(_INEQUALITIES)
 
 def _domain_error(entry: tuple, values: tuple[int, ...]) -> DomainError:
     names, _, statement, _ = entry
+    if callable(statement):
+        return DomainError(statement(*values))
     got = " ".join(f"{name}={v}" for name, v in zip(names, values))
     return DomainError(f"{statement} got {got}")
 
 
-def _call(table: dict, kind: str, entry_id: str, params: dict):
-    """Look entry_id up in a formula or inequality table, validate params, run the kernel."""
+def _lookup(table: dict, kind: str, entry_id: str, params: dict) -> tuple[tuple, tuple[int, ...]]:
+    """Look entry_id up in a formula or inequality table; return it and the validated values."""
     entry = table.get(entry_id)
     if entry is None:
         raise DomainError(f"unknown {kind} id {entry_id!r}")
-    names, domain, _, kernel = entry
+    names, domain, _, _ = entry
     values = _need(params, *names)
     if domain is not None and not domain(*values):
         raise _domain_error(entry, values)
-    return kernel(*values)
+    return entry, values
 
 
 def eval_formula(formula_id: str, **params: int) -> int:
     """Evaluate one of the catalogued closed forms at integer parameters."""
-    return _call(_FORMULAS, "formula", formula_id, params)
+    entry, values = _lookup(_FORMULAS, "formula", formula_id, params)
+    return entry[3](*values)
 
 
 def check_inequality(inequality_id: str, **params: int) -> bool:
     """Decide one of the catalogued inequalities exactly.
 
-    All comparisons are cross-multiplied so no division ever happens; the
-    multiplier that crosses sides is positive in every admissible range.
+    The grid's row kernel runs on a one-value row.  All comparisons are
+    cross-multiplied so no division ever happens; the multiplier that
+    crosses sides is positive in every admissible range.
     """
-    return _call(_INEQUALITIES, "inequality", inequality_id, params)
+    entry, values = _lookup(_INEQUALITIES, "inequality", inequality_id, params)
+    i = entry[0].index(_ROW_PARAM[inequality_id])
+    v = values[i]
+    return not entry[3](*values[:i], range(v, v + 1), *values[i + 1:])
 
 
 def f_monotone_check(kind: str, n: int, k: int, t: int | None = None) -> bool:
@@ -242,7 +277,7 @@ def inequality_grid(n_max: int = 200, k_max: int = 20, mode: str = "auto") -> di
     """Check all four inequalities over every admissible parameter tuple.
 
     The admissible grid is n <= n_max, k <= k_max, 1 <= l < k, 1 <= t < k,
-    p >= 1 with n > 2k + p.  ineq_1_7 and ineq_1_10 are checked tuple by
+    p >= 1 with n > 2k + p.  ineq_1_7 and ineq_1_10 are checked on every
     tuple.  ineq_1_8 and ineq_1_9 depend on (n, t) only through a = n - t,
     which deduplicates the sweep; for ineq_1_8 the left coefficient
     (a - p*k) is decreasing in k while the right side does not involve k,
@@ -250,52 +285,71 @@ def inequality_grid(n_max: int = 200, k_max: int = 20, mode: str = "auto") -> di
     larger ones.  mode="raw" forces the direct 5-parameter sweep of
     ineq_1_8 (used to cross-validate the reduction at small sizes).
 
-    Each tuple's domain predicate and kernel are taken straight from the
-    inequality table and called positionally; check_inequality's per-call
-    keyword validation is skipped because the sweeps only generate integers.
+    Each kernel is called once per row of the sweep, straight from the
+    inequality table; check_inequality's per-call keyword validation is
+    skipped because the sweeps only generate integers.  The domain
+    predicate is still asserted on every tuple, and failures are listed in
+    the order of a tuple-by-tuple sweep.
     """
     if mode not in ("auto", "raw", "reduced"):
         raise DomainError(f"unknown grid mode {mode!r}")
     if n_max < 1 or k_max < 1:
         raise DomainError(f"the grid needs n_max >= 1 and k_max >= 1, got {n_max}, {k_max}")
     use_raw = mode == "raw" or (mode == "auto" and n_max <= 60)
-    checked = {iid: 0 for iid in INEQUALITY_IDS}
-    failures: list[tuple] = []
+    checked = dict.fromkeys(INEQUALITY_IDS, 0)
+    failures: list[tuple] = []  # (id, parameter values)
 
-    def run(iid: str, *values: int) -> None:
-        # the domain predicate is still asserted per tuple, so a grid bug
-        # raises instead of feeding the kernel an inadmissible tuple
+    def run(iid: str, args: tuple, cols: tuple | None = None) -> None:
+        # one kernel call on the row in args.  cols holds the row's tuples
+        # column by column (by default the other arguments, repeated); the
+        # domain predicate is asserted on each, so a grid bug raises instead
+        # of feeding the kernel an inadmissible tuple
         entry = _INEQUALITIES[iid]
         names, domain, _, kernel = entry
-        if not domain(*values):
-            raise _domain_error(entry, values)
-        checked[iid] += 1
-        if not kernel(*values):
-            failures.append((iid, tuple(sorted(zip(names, values)))))
+        i = names.index(_ROW_PARAM[iid])
+        row = args[i]
+        if cols is None:
+            cols = [row if j == i else (x,) * len(row) for j, x in enumerate(args)]
+        if not all(map(domain, *cols)):
+            raise _domain_error(entry, next(v for v in zip(*cols) if not domain(*v)))
+        checked[iid] += len(row)
+        for v in kernel(*args):
+            j = row.index(v)
+            failures.append((iid, tuple(c[j] for c in cols)))
 
     for k in range(1, k_max + 1):
         for n in range(2 * k + 2, n_max + 1):
-            for p in range(1, n - 2 * k):
-                run("ineq_1_7", n, k, p)
+            run("ineq_1_7", (n, k, range(1, n - 2 * k)))
 
     if use_raw:
         for k in range(2, k_max + 1):
             for n in range(2 * k + 2, n_max + 1):
-                for p in range(1, n - 2 * k):
-                    for l in range(1, k):
-                        for t in range(1, k):
-                            run("ineq_1_8", n, k, l, t, p)
+                mark = len(failures)
+                for l in range(1, k):
+                    for t in range(1, k):
+                        run("ineq_1_8", (n, k, l, t, range(1, n - 2 * k)))
+                # the rows run over p; list this (n, k)'s failures by p, l, t
+                failures[mark:] = sorted(failures[mark:],
+                                         key=lambda f: (f[1][4], f[1][2], f[1][3]))
     else:
         # reduced cover: j = k - l, a = n - t; check at the smallest valid k
         for j in range(1, k_max):
             k = j + 1
             if 2 * k + 2 > n_max:
                 break
+            l = k - j
             for a in range(k + 3, n_max):
                 # p must leave room for a witness n = max(a+1, 2k+p+1) <= n_max
-                for p in range(1, min(a - k - 1, n_max - 2 * k)):
-                    t = max(1, 2 * k + p - a + 1)
-                    run("ineq_1_8", a + t, k, k - j, t, p)
+                ps = range(1, min(a - k - 1, n_max - 2 * k))
+                # t = max(1, p - lag), the smallest t >= 1 with n = a + t > 2k + p
+                lag = a - 2 * k - 1
+                ones = min(max(lag + 1, 0), len(ps))
+                ts = [1] * ones + list(range(ones + 1 - lag, len(ps) + 1 - lag))
+                ns = [a + t for t in ts]
+                # one call covers the row, since every p shares a = n - t; the
+                # domain and any failure go with each p's own (n, t)
+                run("ineq_1_8", (ns[0], k, l, ts[0], ps),
+                    (ns, (k,) * len(ps), (l,) * len(ps), ts, ps))
 
     for k in range(2, k_max + 1):
         if 2 * k + 2 > n_max:
@@ -305,12 +359,10 @@ def inequality_grid(n_max: int = 200, k_max: int = 20, mode: str = "auto") -> di
             t = max(1, 2 * k + 2 - a)
             if a + t > n_max:
                 continue
-            for j in range(1, k):
-                run("ineq_1_9", a + t, k, k - j, t)
+            run("ineq_1_9", (a + t, k, range(k - 1, 0, -1), t))
 
     for l in range(2, k_max):
-        for t in range(1, l):
-            run("ineq_1_10", l, t)
+        run("ineq_1_10", (l, range(1, l)))
 
     return {
         "n_max": n_max,
@@ -318,6 +370,7 @@ def inequality_grid(n_max: int = 200, k_max: int = 20, mode: str = "auto") -> di
         "mode": "raw" if use_raw else "reduced",
         "checked": checked,
         "total_checked": sum(checked.values()),
-        "failures": failures[:20],
+        "failures": [(iid, tuple(sorted(zip(_INEQUALITIES[iid][0], values))))
+                     for iid, values in failures[:20]],
         "all_passed": not failures,
     }

@@ -449,7 +449,7 @@ def sample_saturated_pair_bits(ctx: LayerContext, rng: random.Random,
         gb = 0
         for j in rng.sample(range(size), rng.randint(1, min(max_members, size))):
             gb |= 1 << _nth_bit(cand, j)
-        return ctx.saturate(fb, gb)
+        return ctx.closure(gb)
     raise RuntimeError("could not sample a cross-intersecting pair")
 
 

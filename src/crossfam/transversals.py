@@ -246,13 +246,13 @@ class LayerContext:
         row = t_rows(self.ground.n, self.k, 1)
         return reduce(and_, map(row, self.family_of(bits).members), out)
 
-    def saturate(self, fb: int, gb: int) -> tuple[int, int]:
-        """The fixed point of F = T(G), then G = T(F), from the pair (fb, gb): (T(G), T(T(G))).
+    def closure(self, gb: int) -> tuple[int, int]:
+        """(T(G), T(T(G))): the fixed point of F = T(G), then G = T(F), started from gb.
 
         One round reaches it.  T is the antitone Galois map of a symmetric relation
         (Ganter & Wille, *Formal Concept Analysis*, 1999): X <= T(T(X)), so
         T(T(T(X))) = T(X), and a second round would give T(T(T(G))) = T(G) and then
-        T(T(G)) again.  So the result depends on gb alone, whatever fb was.
+        T(T(G)) again.  So the saturated pair depends on G alone, whatever F was.
         """
         nf = self.meet_all(gb)
         return nf, self.meet_all(nf)
@@ -342,7 +342,7 @@ def saturate_pair(f: Family, g: Family) -> tuple[Family, Family]:
     if not is_cross_intersecting(f, g):
         raise DomainError("input pair is not cross-intersecting")
     ctx = layer_context(f.ground.n, k)
-    fb, gb = ctx.saturate(ctx.bits_of(f.members), ctx.bits_of(g.members))
+    fb, gb = ctx.closure(ctx.bits_of(g.members))
     return ctx.family_of(fb), ctx.family_of(gb)
 
 
@@ -351,8 +351,11 @@ def saturate_t(f: Family, t: int) -> Family:
 
     The smallest k-set (by mask) meeting every member in >= t elements joins
     until none is left.  A rejected k-set stays rejected as members only
-    accumulate, so this adds what an ascending-mask sweep adds.  The final
-    members' rows are ANDed afresh to certify the fixed point.
+    accumulate, so this adds what an ascending-mask sweep adds.  The rows of
+    the members it adds are ANDed as they join; with the input members' rows,
+    built afresh, that AND certifies the fixed point: it holds no k-set
+    outside the family.  A row that came out wrong for an input member then
+    still shows.
     """
     k = f.uniformity if f.uniformity is not None else f.infer_uniformity()
     if k is None:
@@ -365,14 +368,16 @@ def saturate_t(f: Family, t: int) -> Family:
     row = t_rows(f.ground.n, k, t)
     fb = ctx.bits_of(f.members)
     cand = reduce(and_, map(row, f.members)) & ~fb
+    added = ctx.full_bits
     while cand:
         low = cand & -cand
         fb |= low
-        cand &= row(ctx.masks[low.bit_length() - 1]) & ~low
-    out = ctx.family_of(fb)
-    if reduce(and_, map(row, out.members)) & ~fb:
+        r = row(ctx.masks[low.bit_length() - 1])
+        added &= r
+        cand &= r & ~low
+    if reduce(and_, map(row, f.members), added) & ~fb:
         raise VerificationError("saturate_t did not reach a fixed point")
-    return out
+    return ctx.family_of(fb)
 
 
 def basis_pair(f: Family, g: Family) -> tuple[Family, Family]:

@@ -6,6 +6,7 @@ against literals frozen from oracle runs.
 """
 
 from itertools import combinations
+from math import comb
 
 
 def ksets(n, k):
@@ -357,3 +358,31 @@ def cross_sperner_scan_oracle(n):
         if val > best_val or (val == best_val and key < best_key):
             best_val, best_key = val, key
     return best_val, best_key
+
+
+def _binomial_sum(m, lo, hi):
+    """Sum of C(m, i) for lo <= i <= hi; 0 when lo > hi."""
+    return sum(comb(m, i) for i in range(max(lo, 0), hi + 1))
+
+
+def ineq_1_7(n, k, p):
+    return (n - p * (k + 1)) * comb(n, k) <= (n - p) * comb(n - p, k)
+
+
+def ineq_1_8(n, k, l, t, p):
+    return ((n - t - p * k) * _binomial_sum(n - t, 0, k - l)
+            <= (n - t - p) * _binomial_sum(n - t - p, 0, k - l))
+
+
+def ineq_1_9(n, k, l, t):
+    return (n - t - k) * _binomial_sum(n - t, 0, k - l - 1) <= k * _binomial_sum(n - t, 0, k - l)
+
+
+def ineq_1_10(l, t):
+    return (2 * t + 2) * _binomial_sum(l, t, l) >= _binomial_sum(l + 1, t, l + 1)
+
+
+# (1.7)-(1.10) tuple by tuple, as the paper states them, for every tuple whose
+# binomials have a nonnegative top (admissible or not)
+INEQUALITIES = {"ineq_1_7": ineq_1_7, "ineq_1_8": ineq_1_8,
+                "ineq_1_9": ineq_1_9, "ineq_1_10": ineq_1_10}

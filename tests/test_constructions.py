@@ -67,22 +67,60 @@ def test_four_star_pair_matches_oracle():
 
 
 def test_central_formula_cross_check():
-    # the module's defining property: enumeration equals the closed form
+    # the module's defining property: enumeration equals the closed form, at
+    # every n the closed form accepts
     for k in (2, 3, 4):
-        for n in range(max(6, 2 * k), 12):
+        for n in range(max(2 * k - 1, 4 if k == 2 else 6), 12):
             a1, a2 = four_star_pair(n, k)
             assert brute_count("I_pair", a1, a2) == eval_formula(
                 "I_A1A2_15", n=n, k=k)
     for t in (1, 2):
         for k in range(t + 1, 5):
-            for n in range(2 * k - t + 1, 11):
+            for n in range(2 * k - t, 11):
                 fam = window_family(n, k, t)
                 assert brute_count("I_self", fam) == eval_formula(
                     "I_Ankt_17", n=n, k=k, t=t)
     for k in (2, 3, 4):
-        for n in range(2 * k, 11):
+        for n in range(2 * k - 1, 11):
             assert brute_count("I_self", triangle_family(n, k)) == eval_formula(
                 "I_A3_case31", n=n, k=k)
+
+
+# formula id -> (the count it is the closed form of, its lowest n, the (k, t) cells)
+_EDGES = {
+    "I_A1A2_15": (lambda n, k: brute_count("I_pair", *four_star_pair(n, k)),
+                  lambda k: max(2 * k - 1, 4 if k == 2 else 6),
+                  [{"k": k} for k in range(2, 7)]),
+    "wedge_star_13": (lambda n, k: brute_count("wedge", star(n, k, [1]), star(n, k, [1])),
+                      lambda k: 2 * k - 1,
+                      [{"k": k} for k in range(1, 7)]),
+    "I_A3_case31": (lambda n, k: brute_count("I_self", triangle_family(n, k)),
+                    lambda k: 2 * k - 1,
+                    [{"k": k} for k in range(2, 7)]),
+    "I_Ankt_17": (lambda n, k, t: brute_count("I_self", window_family(n, k, t)),
+                  lambda k, t: 2 * k - t,
+                  [{"k": k, "t": t} for t in (1, 2, 3) for k in range(t + 1, 7)]),
+    "I_star_t": (lambda n, k, t: brute_count("I_self", star(n, k, range(1, t + 1))),
+                 lambda k, t: 2 * k - t,
+                 [{"k": k, "t": t} for t in (1, 2, 3) for k in range(t, 7)]),
+}
+
+
+@pytest.mark.parametrize("fid", sorted(_EDGES))
+def test_closed_forms_start_where_they_count(capsys, fid):
+    # at its lowest n the closed form equals the count; one below, where it
+    # overcounts, `crossfam eval` refuses the cell with exit 2
+    from crossfam.cli import main
+
+    count, edge, cells = _EDGES[fid]
+    for kw in cells:
+        n = edge(**kw)
+        assert eval_formula(fid, n=n, **kw) == count(n, **kw), (fid, n, kw)
+        argv = ["eval", "--id", fid, "--n", str(n - 1)]
+        for name, v in kw.items():
+            argv += [f"--{name}", str(v)]
+        assert main(argv) == 2, argv
+        capsys.readouterr()
 
 
 def test_window_family_membership():

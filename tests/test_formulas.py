@@ -185,6 +185,95 @@ def test_grid_reduced_matches_raw_small():
     assert raw["checked"]["ineq_1_10"] == red["checked"]["ineq_1_10"]
 
 
+def _admissible(draw, iid):
+    # a tuple in the inequality's domain; the slack above the n bound is 0..3
+    # (the domain edge) or anything up to 150
+    slack = draw(st.one_of(st.integers(0, 3), st.integers(0, 150)))
+    if iid == "ineq_1_10":
+        t = draw(st.integers(1, 25))
+        return {"l": t + 1 + slack, "t": t}
+    k = draw(st.integers(2, 20))
+    if iid == "ineq_1_7":
+        p = draw(st.integers(1, 40))
+        return {"n": 2 * k + p + 1 + slack, "k": k, "p": p}
+    l, t = draw(st.integers(1, k - 1)), draw(st.integers(1, k - 1))
+    if iid == "ineq_1_9":
+        return {"n": 2 * k + 2 + slack, "k": k, "l": l, "t": t}
+    p = draw(st.integers(1, 40))
+    return {"n": 2 * k + p + 1 + slack, "k": k, "l": l, "t": t, "p": p}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_check_inequality_matches_oracle(data):
+    iid = data.draw(st.sampled_from(sorted(oracle.INEQUALITIES)))
+    params = _admissible(data.draw, iid)
+    assert check_inequality(iid, **params) == oracle.INEQUALITIES[iid](**params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_row_kernels_match_oracle_on_whole_rows(data):
+    # rows reach past the domain, where ineq_1_8 and ineq_1_10 fail on some
+    # values, so a kernel that skips a value or hoists a wrong factor shows
+    from crossfam import formulas
+
+    iid = data.draw(st.sampled_from(sorted(oracle.INEQUALITIES)))
+    names, _, _, kernel = formulas._INEQUALITIES[iid]
+    n = data.draw(st.integers(0, 40))
+    k = data.draw(st.integers(1, 10))
+    if iid == "ineq_1_7":
+        fixed, top = {"n": n, "k": k}, n
+    elif iid == "ineq_1_8":
+        t = data.draw(st.integers(0, n))
+        fixed, top = {"n": n, "k": k, "l": data.draw(st.integers(0, k)), "t": t}, n - t
+    elif iid == "ineq_1_9":
+        fixed, top = {"n": n, "k": k, "t": data.draw(st.integers(0, n))}, k
+    else:
+        fixed, top = {"l": data.draw(st.integers(0, 20))}, 22
+    lo = data.draw(st.integers(0, top))
+    row = range(lo, data.draw(st.integers(lo, top)) + 1)
+    name = formulas._ROW_PARAM[iid]
+    args = [row if v == name else fixed[v] for v in names]
+    want = [x for x in row if not oracle.INEQUALITIES[iid](**fixed, **{name: x})]
+    assert kernel(*args) == want
+
+
+def _entry(iid, **values):
+    return (iid, tuple(sorted(values.items())))
+
+
+@pytest.mark.parametrize("mode", ["raw", "reduced"])
+def test_grid_reports_exactly_the_injected_failures(monkeypatch, mode):
+    # ineq_1_8 fails where (n - t, k, l, p) is one of two keys.  The reduced
+    # sweep checks each key once, at the smallest admissible t (3 for the
+    # first key), and must report that tuple; the raw sweep reports every t
+    from crossfam import formulas
+
+    bad_8 = {(10, 5, 1, 2), (20, 5, 1, 3)}
+    names, domain, statement, _ = formulas._INEQUALITIES["ineq_1_8"]
+    monkeypatch.setitem(formulas._INEQUALITIES, "ineq_1_8", (
+        names, domain, statement,
+        lambda n, k, l, t, ps: [p for p in ps if (n - t, k, l, p) in bad_8]))
+    names, domain, statement, _ = formulas._INEQUALITIES["ineq_1_7"]
+    monkeypatch.setitem(formulas._INEQUALITIES, "ineq_1_7", (
+        names, domain, statement,
+        lambda n, k, ps: [p for p in ps if (n, k, p) in {(20, 3, 5), (20, 3, 13)}]))
+    rep = inequality_grid(36, 12, mode=mode)
+    assert not rep["all_passed"]
+    assert rep["checked"] == {"ineq_1_7": 3322, "ineq_1_8": 71962 if mode == "raw" else 3696,
+                              "ineq_1_9": 1606, "ineq_1_10": 55}
+    want = [_entry("ineq_1_7", n=20, k=3, p=5), _entry("ineq_1_7", n=20, k=3, p=13)]
+    if mode == "raw":
+        want += [_entry("ineq_1_8", n=n, k=5, l=1, t=n - a, p=p)
+                 for n, a, p in ((13, 10, 2), (14, 10, 2), (21, 20, 3), (22, 20, 3),
+                                 (23, 20, 3), (24, 20, 3))]
+    else:
+        want += [_entry("ineq_1_8", n=13, k=5, l=1, t=3, p=2),
+                 _entry("ineq_1_8", n=21, k=5, l=1, t=1, p=3)]
+    assert rep["failures"] == want
+
+
 def test_f_monotone_checks():
     k = 3
     assert f_monotone_check("cross", n=5 * k * k, k=k)
@@ -231,14 +320,15 @@ def test_star_partner_bound_dominates_enumeration():
 
 
 # one inadmissible tuple per formula with a domain check (both checks of
-# I_A1A2_15), then a missing, a non-integer and an unknown-id case
+# I_A1A2_15), then a missing, a non-integer and an unknown-id case, then the
+# lowest refused cell of each narrowed closed form
 DOMAIN_MESSAGES = [
     ('binom', {'n': -1, 'k': 0},
      'binomial needs n >= 0, got n=-1'),
     ('partial_sum', {'n': -2, 'k': 1},
      'partial_sum needs n >= 0 for a nonempty sum, got n=-2'),
     ('wedge_star_13', {'n': 3, 'k': 4},
-     'need 1 <= k <= n, got n=3 k=4'),
+     'need k >= 1, n >= 2k-1; got n=3 k=4'),
     ('I_A1A2_15', {'n': 7, 'k': 1},
      'need k >= 2, got k=1'),
     ('I_A1A2_15', {'n': 5, 'k': 3},
@@ -246,9 +336,9 @@ DOMAIN_MESSAGES = [
     ('I_A1A2_15', {'n': 3, 'k': 2},
      'need n >= 4 at k=2, got n=3'),
     ('I_Ankt_17', {'n': 8, 'k': 3, 't': 3},
-     'need t >= 1, k > t, n >= max(k, t+2); got n=8 k=3 t=3'),
+     'need t >= 1, k > t, n >= 2k-t; got n=8 k=3 t=3'),
     ('I_A3_case31', {'n': 8, 'k': 1},
-     'need k >= 2, n >= max(k, 3); got n=8 k=1'),
+     'need k >= 2, n >= 2k-1; got n=8 k=1'),
     ('lemma22_rhs', {'n': 1, 'k': 1},
      'need k >= 1, n >= 2; got n=1 k=1'),
     ('lemma33_rhs', {'n': 0, 'k': 1},
@@ -264,7 +354,7 @@ DOMAIN_MESSAGES = [
     ('emc_bound', {'n': 10, 'k': 3, 'nu': -1},
      'need 1 <= k <= n, nu >= 0; got n=10 k=3 nu=-1'),
     ('I_star_t', {'n': 8, 'k': 3, 't': 4},
-     'need 1 <= t <= k <= n; got n=8 k=3 t=4'),
+     'need 1 <= t <= k, n >= 2k-t; got n=8 k=3 t=4'),
     ('f_cross', {'n': 8, 'k': 3, 'l': 1},
      'need 2 <= l <= k, n >= 1; got n=8 k=3 l=1'),
     ('f_t', {'n': 8, 'k': 3, 't': 2, 'l': 2},
@@ -285,6 +375,17 @@ DOMAIN_MESSAGES = [
      "missing parameter 't'"),
     ('no_such_formula', {'n': 1},
      "unknown formula id 'no_such_formula'"),
+    # cells below n = 2k - 1 (2k - t) where the closed form is not the count
+    ('I_A1A2_15', {'n': 6, 'k': 4},
+     'need n >= 7 at k=4, got n=6'),
+    ('wedge_star_13', {'n': 6, 'k': 4},
+     'need k >= 1, n >= 2k-1; got n=6 k=4'),
+    ('I_A3_case31', {'n': 6, 'k': 4},
+     'need k >= 2, n >= 2k-1; got n=6 k=4'),
+    ('I_Ankt_17', {'n': 6, 'k': 4, 't': 1},
+     'need t >= 1, k > t, n >= 2k-t; got n=6 k=4 t=1'),
+    ('I_star_t', {'n': 8, 'k': 5, 't': 1},
+     'need 1 <= t <= k, n >= 2k-t; got n=8 k=5 t=1'),
 ]
 
 

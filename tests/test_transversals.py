@@ -137,7 +137,8 @@ def test_saturate_pair_matching_grows_to_cycle():
 @pytest.mark.parametrize("n,k,pairs", [(6, 2, 60), (8, 2, 60), (10, 3, 40), (12, 4, 20),
                                        (14, 5, 8)])
 def test_saturate_is_one_round(n, k, pairs):
-    # any pair, cross-intersecting or not, empty sides included; (14, 5) has no adj table
+    # any pair, cross-intersecting or not, empty sides included; (14, 5) has no adj table.
+    # The oracle alternates from (f, g); the closure reads g alone
     ctx = layer_context(n, k)
     assert (ctx.adj is None) == (comb(n, k) > _ADJ_CAP)
     for i in range(pairs):
@@ -145,7 +146,7 @@ def test_saturate_is_one_round(n, k, pairs):
         f = rng.sample(ctx.masks, rng.randint(0, 3))
         g = rng.sample(ctx.masks, rng.randint(0, 3))
         want_f, want_g = oracle.saturate_loop(f, g, n, k)
-        assert ctx.saturate(ctx.bits_of(f), ctx.bits_of(g)) == (
+        assert ctx.closure(ctx.bits_of(g)) == (
             ctx.bits_of(want_f), ctx.bits_of(want_g))
 
 
