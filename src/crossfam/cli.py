@@ -112,7 +112,7 @@ def _report(args, result) -> str:
 
 def _cmd_construct(args) -> int:
     params = _parse_extra_params(args.param)
-    for key in ("T", "X", "Y"):
+    for key in ("T", "X"):
         if isinstance(params.get(key), int):
             params[key] = [params[key]]
     for key in ("n", "k", "t"):
@@ -183,8 +183,12 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_branch(args) -> int:
-    with open(args.input) as fh:
-        fams = families_from_text(fh.read())
+    try:
+        with open(args.input, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{args.input} is not UTF-8 text: {exc}") from None
+    fams = families_from_text(text)
     rng = random.Random(f"branch:{args.seed}") if args.random_rule else None
     if args.name == "cross":
         if len(fams) != 2:
@@ -283,10 +287,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NodeLimitExceeded as exc:

@@ -4,9 +4,9 @@ The CLI-facing names (star, A1, A2, A3, Ankt, prop21_tight, antichain_52,
 cross_sperner_54) are stable identifiers, the keys of the ``_CONSTRUCTIONS``
 table; the functions carry descriptive names.  Pair-valued constructions
 return (Family, Family).  ``construct`` validates integer parameters as the
-formulas do (``formulas._need``), and ``verify_construction`` reports the
-first member or member pair, in scan order, that breaks the advertised
-property.
+formulas do (``formulas._need``) and a set-valued one as a list of elements
+of [n]; ``verify_construction`` reports the first member or member pair, in
+scan order, that breaks the advertised property.
 """
 
 from __future__ import annotations
@@ -162,12 +162,16 @@ def construct(name: str, params: dict):
     if entry is None:
         raise DomainError(f"unknown construction {name!r}")
     names, set_name, builder = entry
-    sets = ()
-    if set_name is not None:
-        if params.get(set_name) is None:
-            raise DomainError(f"{name} needs parameter {set_name!r}")
-        sets = (params[set_name],)
-    return builder(*_need(params, *names), *sets)
+    ints = _need(params, *names)  # every builder takes n first
+    if set_name is None:
+        return builder(*ints)
+    elems = params.get(set_name)
+    if elems is None:
+        raise DomainError(f"{name} needs parameter {set_name!r}")
+    if not isinstance(elems, list) or not all(type(e) is int and 1 <= e <= ints[0] for e in elems):
+        raise DomainError(f"{name} parameter {set_name!r} must be a list of integers "
+                          f"in 1..{ints[0]}, got {elems!r}")
+    return builder(*ints, elems)
 
 
 def _comparable(a: int, b: int) -> bool:

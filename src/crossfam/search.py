@@ -6,9 +6,10 @@ raw member-tuple key is automatically in canonical form: its key equals the
 minimum over all ground-set permutations of any maximizer's key.  Witness
 tie-breaking therefore never has to enumerate permutations.
 
-One closure engine serves two symmetric relations, each a LayerContext:
-"meets" on the k-layer (the cross objectives) and strict incomparability
-on 2^[n] (``_subset_context``, cross-Sperner and the antichain walk).  Let
+One closure engine serves two symmetric relations, each a LayerContext
+built by its one builder, ``LayerContext.from_rows``: "meets" on the
+k-layer (the cross objectives) and strict incomparability on 2^[n]
+(``_subset_context``, cross-Sperner and the antichain walk).  Let
 T(X) be the sets related to every member of X.  For a fixed F the best
 partner is T(F), and the closure T(T(F)) of F keeps that partner while
 |F wedge G| and |I(F, G)| only grow.  So ``_closed_sets`` lists the closed
@@ -84,15 +85,6 @@ class SearchResult:
             "nodes": self.nodes_explored,
             "exhaustive": self.exhaustive,
         }
-
-
-def _indices(bits: int) -> list[int]:
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
 
 
 def _nth_bit(bits: int, j: int) -> int:
@@ -186,17 +178,16 @@ def _subset_context(n: int) -> LayerContext:
     """
     num = 1 << n
     full = (1 << num) - 1
-    rows = []
-    for s in range(num):
+
+    def row(s: int) -> int:
         below, above = 1, 1 << s
         for i in range(n):
             if s >> i & 1:
                 below |= below << (1 << i)
             else:
                 above |= above << (1 << i)
-        rows.append(full ^ (below | above))
-    masks = tuple(range(num))
-    return LayerContext(GroundSet(n), None, masks, dict(zip(masks, masks)), tuple(rows), full)
+        return full ^ (below | above)
+    return LayerContext.from_rows(GroundSet(n), None, range(num), row)
 
 
 def _closed_sets(ctx: LayerContext):
@@ -230,7 +221,7 @@ def _best_pair(ctx: LayerContext, draws, distinct: bool, budget: int | None,
     smallest (X-key, T(X)-key), a key listing masks ascending, wins ties;
     with nothing scored, the empty pair.
     """
-    masks, meet_all = ctx.masks, ctx.meet_all
+    masks_of, meet_all = ctx.masks_of, ctx.meet_all
     best_val, best_key, nodes, complete = 0, None, 0, True
     for x in draws:
         if not x:
@@ -246,7 +237,7 @@ def _best_pair(ctx: LayerContext, draws, distinct: bool, budget: int | None,
         bound = cx * cy if room is None else min(cx * cy, room - cx - cy)
         if bound < best_val:
             continue
-        key = (tuple(masks[i] for i in _indices(x)), tuple(masks[i] for i in _indices(y)))
+        key = (masks_of(x), masks_of(y))
         val = len(_intersections(*key, distinct))
         if best_key is None or val > best_val or (val == best_val and key < best_key):
             best_val, best_key = val, key
@@ -312,7 +303,7 @@ def _maximal_cliques(ctx: LayerContext, t: int, budget: int | None):
         if pb == 0 and xb == 0:
             out.append(rb)
             continue
-        pivot = max(_indices(pb | xb), key=lambda u: (pb & neigh[u]).bit_count())
+        pivot = max(elements_of(pb | xb), key=lambda e: (pb & neigh[e - 1]).bit_count()) - 1
         cand = pb & ~neigh[pivot]
         children = []
         while cand:
@@ -342,7 +333,7 @@ def _maximize_t_intersecting(p: SearchProblem) -> SearchResult:
     ctx = layer_context(p.n, p.k)
     cliques, nodes, complete = _maximal_cliques(
         ctx, p.t, p.budget if p.budget is not None else 10 ** 6)
-    keys = (tuple(ctx.masks[i] for i in _indices(rb)) for rb in cliques)
+    keys = map(ctx.masks_of, cliques)
     value, witness, _, _ = _best_family(keys, ctx.ground, p.k, None)
     return SearchResult(value, witness, nodes, complete)
 
@@ -545,7 +536,7 @@ def realized_corank1_layer(ctx: LayerContext, fb: int, gb: int) -> list[int]:
 
 
 def _family_sets(ctx: LayerContext, bits: int) -> list[list[int]]:
-    return [list(elements_of(ctx.masks[i])) for i in _indices(bits)]
+    return [list(elements_of(m)) for m in ctx.masks_of(bits)]
 
 
 def _trial_rngs(seed: int, count: int):

@@ -15,7 +15,8 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
-from operator import and_, or_
+from math import comb
+from operator import and_
 
 from .families import (
     DomainError,
@@ -207,10 +208,11 @@ def upward_closure(b: Family, k: int) -> Family:
 class LayerContext:
     """Sets of [n] plus, per set, the bitset of the sets related to it.
 
-    A k-layer (``layer_context``) relates k-sets that meet; its ``adj`` is
-    None above ``_ADJ_CAP`` sets.  2^[n] (``search._subset_context``, k None,
-    set i is mask i) relates strictly incomparable sets.  Both relations are
-    symmetric, so T = ``meet_all`` is an antitone Galois map.
+    ``from_rows`` is the one builder.  A k-layer (``layer_context``) relates
+    k-sets that meet; its ``adj`` is None above ``_ADJ_CAP`` sets.  2^[n]
+    (``search._subset_context``, k None, set i is mask i) relates strictly
+    incomparable sets.  Both relations are symmetric, so T = ``meet_all`` is
+    an antitone Galois map.
     """
 
     ground: GroundSet
@@ -220,19 +222,26 @@ class LayerContext:
     adj: tuple[int, ...] | None
     full_bits: int
 
+    @classmethod
+    def from_rows(cls, ground: GroundSet, k: int | None, masks, row) -> "LayerContext":
+        """The ascending sets `masks`, m related to the sets of row(m); no table if row is None."""
+        masks = tuple(masks)
+        return cls(ground, k, masks, {m: i for i, m in enumerate(masks)},
+                   None if row is None else tuple(map(row, masks)), (1 << len(masks)) - 1)
+
     def bits_of(self, masks) -> int:
         bits = 0
         for m in masks:
             bits |= 1 << self.index[m]
         return bits
 
+    def masks_of(self, bits: int) -> tuple[int, ...]:
+        """The sets selected by `bits`, ascending."""
+        masks = self.masks
+        return tuple([masks[e - 1] for e in elements_of(bits)])
+
     def family_of(self, bits: int) -> Family:
-        out = []
-        while bits:
-            low = bits & -bits
-            out.append(self.masks[low.bit_length() - 1])
-            bits ^= low
-        return Family.from_masks(out, self.ground, self.k)
+        return Family.from_masks(self.masks_of(bits), self.ground, self.k)
 
     def meet_all(self, bits: int) -> int:
         """T(bits): the bitset of the sets related to every set selected by `bits`."""
@@ -244,7 +253,7 @@ class LayerContext:
                 bits ^= low
             return out
         row = t_rows(self.ground.n, self.k, 1)
-        return reduce(and_, map(row, self.family_of(bits).members), out)
+        return reduce(and_, map(row, self.masks_of(bits)), out)
 
     def closure(self, gb: int) -> tuple[int, int]:
         """(T(G), T(T(G))): the fixed point of F = T(G), then G = T(F), started from gb.
@@ -261,17 +270,10 @@ class LayerContext:
 @lru_cache(maxsize=None)
 def layer_context(n: int, k: int) -> LayerContext:
     ground = GroundSet(n)
-    masks = tuple(full_layer(ground, k).members)
-    index = {m: i for i, m in enumerate(masks)}
-    adj = None
-    if len(masks) <= _ADJ_CAP:
-        # a k-set meets exactly the k-sets that hold one of its elements
-        holders = [0] * n
-        for i, m in enumerate(masks):
-            for e in elements_of(m):
-                holders[e - 1] |= 1 << i
-        adj = tuple(reduce(or_, [holders[e - 1] for e in elements_of(m)], 0) for m in masks)
-    return LayerContext(ground, k, masks, index, adj, (1 << len(masks)) - 1)
+    masks = full_layer(ground, k).members
+    # a k-set meets exactly the k-sets above one of its elements: t_rows at t = 1
+    row = t_rows(n, k, 1) if len(masks) <= _ADJ_CAP else None
+    return LayerContext.from_rows(ground, k, masks, row)
 
 
 def _bits(m: int) -> list[int]:
@@ -294,7 +296,7 @@ def sets_above(n: int, k: int, j: int) -> dict[int, int]:
     if j < 0:
         return {}
     up: dict[int, int] = {}
-    for i, m in enumerate(layer_context(n, k).masks):
+    for i, m in enumerate(full_layer(GroundSet(n), k).members):
         for d in map(sum, combinations(_bits(m), j)):  # distinct bits: sum = union
             up[d] = up.get(d, 0) | 1 << i
     return dict(sorted(up.items()))
@@ -307,7 +309,7 @@ def t_rows(n: int, k: int, t: int):
     once t > 2k - n: any two k-sets share 2k - n, so below that a row is the layer.
     """
     if t <= max(0, 2 * k - n):
-        full = layer_context(n, k).full_bits
+        full = (1 << comb(n, k)) - 1
         return lambda m: full
     up = sets_above(n, k, t)
 

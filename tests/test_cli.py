@@ -141,6 +141,20 @@ def test_branch_malformed_input_exit_2(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe", "is not UTF-8 text"),
+    (None, "No such file or directory"),
+])
+def test_branch_unreadable_input_exit_2(capsys, tmp_path, content, message):
+    path = tmp_path / "basis.fam"
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = run_cli(capsys, "branch", "--name", "t", "--input",
+                             str(path), "--t", "1", "--k", "3", "--r", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_branch_t_command(capsys, tmp_path):
     path = tmp_path / "basis.fam"
     path.write_text("n=6 k=*\n1,2\n1,3\n2,3\n")
@@ -311,6 +325,17 @@ _UNREAD = "unrecognized arguments"
     (("verify-all", "--criteria", "12,13"), "error: criteria are numbered 1..12, got 13"),
     (("verify-all", "--criteria", ","),
      "error: no criterion selected; criteria are numbered 1..12"),
+    # a set-valued parameter lists elements of [n]
+    (("construct", "--name", "star", "--n", "4", "--k", "2", "--param", "T=abc"),
+     "error: star parameter 'T' must be a list of integers in 1..4, got 'abc'"),
+    (("construct", "--name", "star", "--n", "4", "--k", "2", "--param", "T=0"),
+     "error: star parameter 'T' must be a list of integers in 1..4, got [0]"),
+    (("construct", "--name", "star", "--n", "4", "--k", "2", "--param", "T=1,0"),
+     "error: star parameter 'T' must be a list of integers in 1..4, got [1, 0]"),
+    (("construct", "--name", "star", "--n", "4", "--k", "2", "--param", "T="),
+     "error: star parameter 'T' must be a list of integers in 1..4, got ''"),
+    (("construct", "--name", "cross_sperner_54", "--n", "4", "--param", "X=a"),
+     "error: cross_sperner_54 parameter 'X' must be a list of integers in 1..4, got 'a'"),
 ])
 def test_malformed_cli_input_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -184,6 +184,9 @@ def test_construct_dispatcher_and_spec():
         construct("A1", {"k": 3})
     with pytest.raises(DomainError, match=r"^parameter 't' must be an integer, got '1'$"):
         construct("Ankt", {"n": 8, "k": 3, "t": "1"})
+    for center in ([5], [0], [True], "1", (1,)):
+        with pytest.raises(DomainError, match=r"^star parameter 'T' must be a list of integers"):
+            construct("star", {"n": 4, "k": 2, "T": center})
 
 
 def test_verify_construction_reports():

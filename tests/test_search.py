@@ -11,6 +11,7 @@ from crossfam.families import (
     Family,
     GroundSet,
     distinct_intersections,
+    elements_of,
     is_cross_intersecting,
     is_cross_sperner,
     wedge,
@@ -21,7 +22,6 @@ from crossfam.search import (
     SearchProblem,
     _antichains,
     _closed_sets,
-    _indices,
     _maximal_cliques,
     _nth_bit,
     _subset_context,
@@ -150,7 +150,8 @@ def test_pair_sampler_matches_pool_sampler(n, k):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 1 << 300))
 def test_nth_bit_matches_indices(bits):
-    assert [_nth_bit(bits, j) for j in range(bits.bit_count())] == _indices(bits)
+    assert [_nth_bit(bits, j) for j in range(bits.bit_count())] == [
+        e - 1 for e in elements_of(bits)]
 
 
 def test_maximal_clique_counts():
@@ -232,6 +233,23 @@ def test_subset_context_matches_pairwise_definition(n):
     assert ctx.masks == tuple(range(1 << n))
     assert ctx.adj == tuple(sum(1 << u for u in _incomparable_to_all([s], n))
                             for s in range(1 << n))
+
+
+# one k-layer with a "meets" table, one above _ADJ_CAP without, and 2^[4]
+@pytest.mark.parametrize("context, has_table", [
+    (lambda: layer_context(8, 3), True),
+    (lambda: layer_context(14, 5), False),
+    (lambda: _subset_context(4), True),
+], ids=["layer_8_3", "layer_14_5", "subsets_4"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_masks_of_inverts_bits_of(context, has_table, data):
+    ctx = context()
+    assert (ctx.adj is not None) == has_table
+    ms = data.draw(st.sets(st.sampled_from(ctx.masks), max_size=40))
+    bits = ctx.bits_of(ms)
+    assert ctx.masks_of(bits) == tuple(sorted(ms))
+    assert ctx.family_of(bits).members == ctx.masks_of(bits)
 
 
 @pytest.mark.parametrize("n,count", [(1, 2), (2, 4), (3, 20), (4, 200)])

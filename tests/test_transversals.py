@@ -198,10 +198,11 @@ def test_sets_above_matches_definition(n, k, j):
 
 @pytest.mark.parametrize("n,k,t", [(26, 24, 12), (20, 18, 16), (6, 2, 0), (6, 2, -1)])
 def test_t_rows_of_a_complete_graph_need_no_table(monkeypatch, n, k, t):
-    # any two k-sets share >= 2k - n elements; C(24, 12) subsets a row would be slow
+    # any two k-sets share >= 2k - n elements; C(24, 12) subsets a row would be slow.
+    # The context's own "meets" table reads sets_above, so it is built first
+    ctx = layer_context(n, k)
     monkeypatch.setattr(transversals, "sets_above", None)
     row = transversals.t_rows(n, k, t)
-    ctx = layer_context(n, k)
     assert all(row(m) == ctx.full_bits for m in ctx.masks)
 
 
