@@ -8,23 +8,29 @@ set meets it in at least t elements.  The cross process is the t-process at
 t = 1 driven by B1 (seeds weigh 1/s, B is disjoint from S), with coverage
 and level weights read from B2; both run the one frontier in ``_grow``.
 
-Each live sequence carries the list its pool is filtered from: its parent's
-pool {m : |m & S| < t}.  Filtering that list by the child's set is exact,
-since |m & S| only grows with S, and keeps the basis order.  Conservation
-sums one (shared Fraction, count) pair per sibling group, and retired
-survivors enter a running total once.  The hypothesis tau_t(F) >= t+1 needs
-no search: a set of at most t elements meets every member in t elements
-only if it is a t-set inside all of them, so for members of size >= t it
-holds iff fewer than t elements lie in every member.
+Every weight is 1/d for an integer d: a seed weighs 1/C(s, t) and a split
+multiplies d by |B - S|, so the frontier carries d and ``Fraction`` only
+enters the per-round conservation sum, once per distinct d.  Pools are
+bitsets over the basis members, whose indices are in mask order: a live
+sequence keeps t planes, plane j the members meeting S in >= j elements,
+and its pool is the complement of plane t.  A child whose pool is empty
+retires at its parent, into the parent's sibling group (prefix, d, chosen
+sets, ys): its survivors are prefix + (y,) for y in ys, all of weight 1/d.
+Groups are kept in survivor order, so level counts, weight floors and
+coverage are read per group and no survivor is ever materialised on the
+way to the report.  The hypothesis tau_t(F) >= t+1 needs no search: a set
+of at most t elements meets every member in t elements only if it is a
+t-set inside all of them, so for members of size >= t it holds iff fewer
+than t elements lie in every member.
 
 The selection rule is deterministic by default (smallest cardinality, then
 smallest mask, among the qualifying sets); pass a seeded ``random.Random``
 to exercise the claims under arbitrary legal selections.
 
-``BranchReport.to_json`` renders each distinct chosen set, chosen-set tuple
-and weight of the survivors once and splices that text into the
-``json.dumps`` text of the other fields, byte for byte the text of
-``json.dumps(to_json_dict(), sort_keys=True)``.
+``BranchReport.json_chunks`` streams the bytes of
+``json.dumps(to_json_dict(), sort_keys=True)``: each sibling group's text
+around its ys is rendered once, then one short string per survivor.
+``BranchReport.survivors`` materialises the survivors for library callers.
 """
 
 from __future__ import annotations
@@ -34,10 +40,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, permutations
 from math import comb
 from operator import and_
+from typing import Iterator
 
 from .constructions import window_family
 from .families import (
@@ -50,6 +57,7 @@ from .families import (
     is_cross_intersecting,
     is_t_intersecting,
     mask_of,
+    nth_bit,
 )
 from .transversals import upward_closure
 
@@ -65,15 +73,28 @@ class BranchSequence:
 
 @dataclass
 class BranchReport:
-    """Outcome of a branching run; all rationals are exact."""
+    """Outcome of a branching run; all rationals are exact.
 
-    survivors: list
+    groups holds the survivors as sibling groups (prefix, d, chosen_sets, ys,
+    prefix mask, mask of ys), in survivor order: the survivors prefix + (y,)
+    for y in ys, each of weight 1/d.  ``survivors`` is the materialised list
+    of ``BranchSequence``, built on first use and cached; the report text
+    never needs it.
+    """
+
+    groups: list
     total_weight: Fraction
     level_counts: dict
     lam: dict
     coverage_ok: bool
     weight_bound_ok: bool
     inequality_lhs: Fraction
+
+    @cached_property
+    def survivors(self) -> list[BranchSequence]:
+        weights: dict[int, Fraction] = {}
+        return [BranchSequence(prefix + (y,), weights.setdefault(d, Fraction(1, d)), chosen)
+                for prefix, d, chosen, ys, _, _ in self.groups for y in ys]
 
     def _scalars(self) -> dict:
         """Every field of the JSON form except the survivors."""
@@ -102,55 +123,61 @@ class BranchReport:
             **self._scalars(),
         }
 
-    def to_json(self) -> str:
-        """The bytes of ``json.dumps(self.to_json_dict(), sort_keys=True)``.
+    def json_chunks(self) -> Iterator[str]:
+        """The bytes of ``json.dumps(self.to_json_dict(), sort_keys=True)``, in pieces.
 
-        Each distinct chosen set, chosen-set tuple and weight is rendered
-        once.  ``str`` of a list of ints is its JSON text; that of a tuple
-        is not, so every sequence goes through ``list``.
+        A sibling group's survivors differ only in their last element, so
+        the text before and after it is rendered once per group and joined
+        around the ys; each distinct chosen-set tuple is rendered once.
+        ``str`` of a list of ints is its JSON text.
         """
+        head, tail = splice_parts(self._scalars(), "survivors")
+        yield head + "["
         sets: dict[int, str] = {}
         tuples: dict[tuple[int, ...], str] = {}
-        weights: dict[tuple[int, int], str] = {}
-        parts = []
-        for s in self.survivors:
-            chosen = tuples.get(s.chosen_sets)
+        sep = ""
+        for prefix, d, chosen_sets, ys, _, _ in self.groups:
+            chosen = tuples.get(chosen_sets)
             if chosen is None:
-                for m in s.chosen_sets:
+                for m in chosen_sets:
                     if m not in sets:
                         sets[m] = str(list(elements_of(m)))
-                chosen = "[" + ", ".join([sets[m] for m in s.chosen_sets]) + "]"
-                tuples[s.chosen_sets] = chosen
-            key = (s.weight.numerator, s.weight.denominator)
-            weight = weights.get(key)
-            if weight is None:
-                weight = weights[key] = json.dumps(_frac(s.weight))
-            parts.append(f'{{"chosen_sets": {chosen}, "elements": {list(s.elements)}, '
-                         f'"weight": {weight}}}')
-        return splice_json(self._scalars(), "survivors", "[" + ", ".join(parts) + "]")
+                chosen = "[" + ", ".join([sets[m] for m in chosen_sets]) + "]"
+                tuples[chosen_sets] = chosen
+            lead = str(list(prefix))[1:-1] + ", " if prefix else ""
+            pre = f'{{"chosen_sets": {chosen}, "elements": [{lead}'
+            post = f'], "weight": "1/{d}"}}'
+            yield sep + pre + (post + ", " + pre).join(map(str, ys)) + post
+            sep = ", "
+        yield "]" + tail
+
+    def to_json(self) -> str:
+        """The bytes of ``json.dumps(self.to_json_dict(), sort_keys=True)``."""
+        return "".join(self.json_chunks())
 
 
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def splice_json(obj: dict, key: str, encoded: str) -> str:
-    """The bytes of ``json.dumps(obj | {key: value}, sort_keys=True)``.
+def splice_parts(obj: dict, key: str) -> tuple[str, str]:
+    """The text of ``json.dumps(obj | {key: value}, sort_keys=True)`` before and
+    after value's JSON text.
 
-    ``encoded`` is the JSON text of value, taken verbatim; obj's keys are
-    strings.  The keys of obj below key are dumped before it and those
-    above it after it, with json's default separators.
+    obj's keys are strings.  The keys of obj below key are dumped before it
+    and those above it after it, with json's default separators.
     """
     head = json.dumps({k: v for k, v in obj.items() if k < key}, sort_keys=True)[1:-1]
     tail = json.dumps({k: v for k, v in obj.items() if k > key}, sort_keys=True)[1:-1]
-    item = f"{json.dumps(key)}: {encoded}"
-    return "{" + ", ".join(part for part in (head, item, tail) if part) + "}"
+    return ("{" + (head + ", " if head else "") + json.dumps(key) + ": ",
+            (", " + tail if tail else "") + "}")
 
 
-def _choose(pool: list[int], rng: random.Random | None) -> int:
-    if rng is None:
-        return min(pool, key=lambda m: (m.bit_count(), m))
-    return rng.choice(sorted(pool))
+def splice_json(obj: dict, key: str, encoded: str) -> str:
+    """The bytes of ``json.dumps(obj | {key: value}, sort_keys=True)``, where
+    ``encoded`` is the JSON text of value, taken verbatim."""
+    head, tail = splice_parts(obj, key)
+    return head + encoded + tail
 
 
 def _tau_t_exceeds_t(members, t: int) -> bool:
@@ -159,11 +186,11 @@ def _tau_t_exceeds_t(members, t: int) -> bool:
 
 
 def _weight_sum(groups) -> Fraction:
-    """Exact sum of count * w over (Fraction w, count) pairs, each distinct w added once."""
+    """Exact sum of count / d over (d, count) pairs, each distinct d added once."""
     counts: Counter = Counter()
-    for w, c in groups:
-        counts[w.numerator, w.denominator] += c
-    return sum((Fraction(p * c, q) for (p, q), c in counts.items()), Fraction(0))
+    for d, c in groups:
+        counts[d] += c
+    return sum((Fraction(c, d) for d, c in counts.items()), Fraction(0))
 
 
 def smallest_branching_level(b: Family, t: int = 1) -> int | None:
@@ -181,95 +208,140 @@ def smallest_branching_level(b: Family, t: int = 1) -> int | None:
     return None
 
 
-def _grow(low: list[int], members: tuple[int, ...], seed: int, t: int,
-          rng: random.Random | None, max_nodes: int):
-    """Run the t-process from the t-subsets of seed.
+def _grow(members: tuple[int, ...], r: int, t: int, rng: random.Random | None,
+          max_nodes: int):
+    """Run the t-process on members, ascending masks, from the t-subsets of a
+    minimum-size member.
 
-    Returns the survivors, their set masks and their total weight, which the
-    last round has checked to be exactly 1.
-
-    The first extension draws from low, every later one from members.
+    Returns the survivors' sibling groups (see ``BranchReport``) in survivor
+    order and their total weight, which the last round has checked to be
+    exactly 1.  The first extension draws from the members of size <= r,
+    every later one from all members.
     """
-    weight = Fraction(1, comb(seed.bit_count(), t))
-    # a live sequence: elements, weight, chosen sets, set mask S, and the
-    # list its pool {m : |m & S| < t} is filtered from (its parent's pool)
-    frontier = [(combo, weight, (seed,), mask_of(combo), low)
-                for combo in combinations(elements_of(seed), t)]
-    groups = [(weight, len(frontier))]
-    survivors: list[BranchSequence] = []
-    survivor_sets: set[int] = set()
+    full = (1 << len(members)) - 1
+    hit = [0] * (max(members).bit_length() + 1)  # element -> members holding it
+    classes: dict[int, int] = {}  # size -> members of that size
+    for i, m in enumerate(members):
+        for y in elements_of(m):
+            hit[y] |= 1 << i
+        classes[m.bit_count()] = classes.get(m.bit_count(), 0) | 1 << i
+    by_size = [classes[size] for size in sorted(classes)]
+    low = sum(bits for size, bits in classes.items() if size <= r)
+
+    def pick(pool: int) -> int:
+        """The member the rule selects from the nonempty bitset pool: the lowest
+        of its smallest size, or the draw of rng.choice(sorted(pool))."""
+        if rng is None:
+            for bits in by_size:
+                x = pool & bits
+                if x:
+                    return members[(x & -x).bit_length() - 1]
+        return members[nth_bit(pool, rng.choice(range(pool.bit_count())))]
+
+    def extend(planes: list[int], h: int) -> list[int]:
+        """The planes of S + y from those of S, for h the members holding y."""
+        out = planes[:]
+        for j in range(t, 0, -1):
+            out[j] |= out[j - 1] & h
+        return out
+
+    seed = pick(by_size[0])
+    d = comb(seed.bit_count(), t)
+    # a live sequence: elements, d, chosen sets, set mask S, planes
+    # [all, |m & S| >= 1, ..., |m & S| >= t] and its pool
+    frontier = []
+    groups = []
+    for combo in combinations(elements_of(seed), t):
+        planes = [full] + [0] * t
+        for y in combo:
+            planes = extend(planes, hit[y])
+        pool = low & ~planes[t]
+        if pool:
+            frontier.append((combo, d, (seed,), mask_of(combo), planes, pool))
+        else:
+            bit = 1 << (combo[-1] - 1)
+            groups.append((combo[:-1], d, (seed,), [combo[-1]], mask_of(combo) ^ bit, bit))
+    live = [(d, len(frontier))]
     retired = Fraction(0)
+    done = 0
     nodes = 0
-    first = True
     while True:
-        total = _weight_sum(groups) + retired
+        retired += _weight_sum((g[1], len(g[3])) for g in groups[done:])
+        done = len(groups)
+        total = _weight_sum(live) + retired
         if total != 1:
             raise VerificationError(f"live weight is {total} mid-run, expected exactly 1")
         if not frontier:
-            return survivors, survivor_sets, total
+            return groups, total
         nxt = []
-        groups = []
-        done = []
-        for elements, weight, chosen_sets, smask, pool in frontier:
-            pool = [m for m in pool if (m & smask).bit_count() < t]
-            if not pool:
-                done.append(BranchSequence(elements, weight, chosen_sets))
-                survivor_sets.add(smask)
-                continue
-            chosen = _choose(pool, rng)
+        live = []
+        for elements, d, chosen_sets, smask, planes, pool in frontier:
+            chosen = pick(pool)
             free = chosen & ~smask
             nodes += free.bit_count()
             if nodes > max_nodes:
                 raise NodeLimitExceeded(f"branching exceeded {max_nodes} nodes")
-            share = weight / free.bit_count()
+            d *= free.bit_count()
             chosen_sets += (chosen,)
-            inherited = members if first else pool
+            top, below = planes[t], planes[t - 1]
+            ys = []
+            kept = 0
             before = len(nxt)
             for y in elements_of(free):
-                nxt.append((elements + (y,), share, chosen_sets, smask | 1 << (y - 1),
-                            inherited))
-            # siblings share one weight: take it and their number from nxt itself
-            groups.append((nxt[-1][1], len(nxt) - before))
-        retired += _weight_sum((s.weight, 1) for s in done)
-        survivors += done
+                h = hit[y]
+                if top | below & h == full:  # no member meets S + y in < t elements
+                    ys.append(y)
+                    continue
+                bit = 1 << (y - 1)
+                kept |= bit
+                child = extend(planes, h)
+                nxt.append((elements + (y,), d, chosen_sets, smask | bit, child,
+                            full ^ child[t]))
+            if ys:
+                groups.append((elements, d, chosen_sets, ys, smask, free ^ kept))
+            if len(nxt) > before:
+                live.append((d, len(nxt) - before))
         frontier = nxt
-        first = False
 
 
-def _finish_report(survivors, survivor_sets: set[int], total: Fraction, cover: Family,
-                   t: int, k: int, r: int, strict: bool) -> BranchReport:
-    """Check the survivors, with element masks survivor_sets and verified total
-    weight, against cover's levels >= r.
+def _finish_report(groups: list, total: Fraction, cover: Family, t: int, k: int, r: int,
+                   strict: bool) -> BranchReport:
+    """Check the survivors' sibling groups, with verified total weight, against
+    cover's levels >= r.
 
-    Level l weighs 1/(C(l, t) l k^(l-t-1)): the floor of a level-l survivor,
-    and each level-l member's share of the inequality's left-hand side.
+    Level l weighs 1/floor_d(l) = 1/(C(l, t) l k^(l-t-1)): the floor of a
+    level-l survivor, and each level-l member's share of the inequality's
+    left-hand side.
     """
     level_counts: dict[int, int] = {}
-    # survivors carry few distinct (level, weight) pairs: compare each once
-    level_weights = set()
-    for s in survivors:
-        level = len(s.elements)
-        level_counts[level] = level_counts.get(level, 0) + 1
+    ds = set()  # (level, d) at levels >= r: a group's survivors share both
+    reach: dict[int, int] = {}  # prefix mask -> the ys completing it to a survivor
+    for prefix, d, _, ys, pmask, ybits in groups:
+        level = len(prefix) + 1
+        level_counts[level] = level_counts.get(level, 0) + len(ys)
         if level >= r:
-            level_weights.add((level, s.weight.numerator, s.weight.denominator))
+            ds.add((level, d))
+            reach[pmask] = reach.get(pmask, 0) | ybits
 
-    def level_weight(l: int) -> Fraction:
-        return Fraction(1, comb(l, t) * l * k ** (l - t - 1))
+    def floor_d(l: int) -> int:
+        return comb(l, t) * l * k ** (l - t - 1)
 
     cover_levels: dict[int, list[int]] = {}
     for m in cover.members:
         cover_levels.setdefault(m.bit_count(), []).append(m)
-    # a survivor's sequence has no repeats, so its set fixes its level
-    coverage_ok = all(m in survivor_sets
+    # a survivor's sequence has no repeats, so its set fixes its level; the
+    # set m is a survivor's iff some y in m completes m - y in a group
+    coverage_ok = all(any(reach.get(m ^ 1 << (y - 1), 0) >> (y - 1) & 1
+                          for y in elements_of(m))
                       for level, masks in cover_levels.items() if level >= r
                       for m in masks)
 
-    weight_bound_ok = all(Fraction(p, q) >= level_weight(l) for l, p, q in level_weights)
+    weight_bound_ok = all(d <= floor_d(l) for l, d in ds)  # 1/d >= 1/floor_d(l)
 
-    lam = {level: len(masks) * level_weight(level)
+    lam = {level: Fraction(len(masks), floor_d(level))
            for level, masks in sorted(cover_levels.items()) if r <= level <= k}
     lhs = sum(lam.values(), Fraction(0))
-    report = BranchReport(survivors, total, level_counts, lam, coverage_ok,
+    report = BranchReport(groups, total, level_counts, lam, coverage_ok,
                           weight_bound_ok, lhs)
     if strict:
         if not coverage_ok:
@@ -310,9 +382,7 @@ def run_branching_cross(b1: Family, b2: Family, k: int, r: int,
     if not low or not _tau_t_exceeds_t(low, 1):
         raise DomainError(f"hypothesis tau(B1 restricted to sizes <= {r}) >= 2 violated")
 
-    seed = _choose([m for m in b1.members if m.bit_count() == s], rng)
-    return _finish_report(*_grow(low, b1.members, seed, 1, rng, max_nodes), b2, 1, k, r,
-                          strict)
+    return _finish_report(*_grow(b1.members, r, 1, rng, max_nodes), b2, 1, k, r, strict)
 
 
 def run_branching_t(b: Family, t: int, k: int, r: int,
@@ -343,9 +413,7 @@ def run_branching_t(b: Family, t: int, k: int, r: int,
     if not low or not _tau_t_exceeds_t(low, t):
         raise DomainError(f"hypothesis tau_t(B restricted to sizes <= {r}) >= t+1 violated")
 
-    seed = _choose([m for m in b.members if m.bit_count() == s], rng)
-    return _finish_report(*_grow(low, b.members, seed, t, rng, max_nodes), b, t, k, r,
-                          strict)
+    return _finish_report(*_grow(b.members, r, t, rng, max_nodes), b, t, k, r, strict)
 
 
 def verify_window_closure(b: Family, t: int, n: int, k: int) -> bool:

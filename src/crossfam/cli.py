@@ -14,9 +14,11 @@ import io
 import json
 import sys
 import time
+from itertools import chain
+from typing import Iterable
 
 from . import __version__, acceptance
-from .branching import BranchReport, run_branching_cross, run_branching_t, splice_json
+from .branching import BranchReport, run_branching_cross, run_branching_t, splice_parts
 from .constructions import CONSTRUCTION_NAMES, construct, verify_construction
 from .families import (DomainError, NodeLimitExceeded, VerificationError, families_from_text,
                        families_to_text, family_to_text)
@@ -63,16 +65,17 @@ def _parse_extra_params(pairs: list[str]) -> dict:
     return out
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(chunks: Iterable[str], output: str | None) -> None:
+    """Write the text chunks to the file output, or to stdout."""
     if output:
         with open(output, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
-def _report(args, result) -> str:
-    """The report text of result: a JSON-able value or a BranchReport."""
+def _report(args, result) -> Iterable[str]:
+    """The report text of result, a JSON-able value or a BranchReport, in chunks."""
     envelope = {
         "command": args.command,
         "version": __version__,
@@ -87,11 +90,12 @@ def _report(args, result) -> str:
     }
     if isinstance(result, BranchReport):
         if args.format == "json":
-            return splice_json(envelope, "result", result.to_json()) + "\n"
+            head, tail = splice_parts(envelope, "result")
+            return chain((head,), result.json_chunks(), (tail + "\n",))
         result = result.to_json_dict()
     envelope["result"] = result
     if args.format == "json":
-        return json.dumps(envelope, sort_keys=True) + "\n"
+        return [json.dumps(envelope, sort_keys=True) + "\n"]
     if args.format == "csv":
         rows = result if isinstance(result, list) else [result]
         if not rows or not isinstance(rows[0], dict):
@@ -101,13 +105,13 @@ def _report(args, result) -> str:
         writer.writeheader()
         for row in rows:
             writer.writerow({key: row.get(key) for key in writer.fieldnames})
-        return buf.getvalue()
+        return [buf.getvalue()]
     lines = [f"{args.command} (crossfam {__version__}, seed {args.seed})"]
     if isinstance(result, list):
         lines += [json.dumps(r, sort_keys=True) for r in result]
     else:
         lines += [f"{key}: {value}" for key, value in sorted(result.items())]
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
 def _cmd_construct(args) -> int:
@@ -120,10 +124,8 @@ def _cmd_construct(args) -> int:
             params[key] = getattr(args, key)
     built = construct(args.name, params)
     check = verify_construction(args.name, params)
-    if isinstance(built, tuple):
-        _emit(families_to_text(built), args.output)
-    else:
-        _emit(family_to_text(built), args.output)
+    text = families_to_text(built) if isinstance(built, tuple) else family_to_text(built)
+    _emit([text], args.output)
     if not check["ok"]:
         print(f"construction predicate failed: {check['witness']}", file=sys.stderr)
         return 1

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -54,6 +55,18 @@ def elements_of(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length())
         mask ^= low
     return tuple(out)
+
+
+def nth_bit(bits: int, j: int) -> int:
+    """The index of the set bit of rank j (0 = lowest) in bits, by bisecting on prefix counts."""
+    lo, hi = 0, bits.bit_length() - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (bits & ((2 << mid) - 1)).bit_count() > j:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass(frozen=True)
@@ -156,8 +169,9 @@ class Family:
         return s
 
 
+@lru_cache(maxsize=None)
 def full_layer(ground: GroundSet, k: int) -> Family:
-    """All k-subsets of the ground set."""
+    """All k-subsets of the ground set, built once per (ground, k): a Family is immutable."""
     if not 0 <= k <= ground.n:
         raise DomainError(f"layer size {k} out of range for n={ground.n}")
     masks = [mask_of(c) for c in combinations(ground.elements(), k)]

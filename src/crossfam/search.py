@@ -47,6 +47,7 @@ from .families import (
     GroundSet,
     _intersections,
     elements_of,
+    nth_bit,
 )
 from .transversals import LayerContext, has_matching_of_size, layer_context, sets_above, t_rows
 from . import transversals
@@ -85,18 +86,6 @@ class SearchResult:
             "nodes": self.nodes_explored,
             "exhaustive": self.exhaustive,
         }
-
-
-def _nth_bit(bits: int, j: int) -> int:
-    """The index of the set bit of rank j (0 = lowest) in bits, by bisecting on prefix counts."""
-    lo, hi = 0, bits.bit_length() - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (bits & ((2 << mid) - 1)).bit_count() > j:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def _trial_rng(seed: int, index: int) -> random.Random:
@@ -439,7 +428,7 @@ def sample_saturated_pair_bits(ctx: LayerContext, rng: random.Random,
         size = cand.bit_count()
         gb = 0
         for j in rng.sample(range(size), rng.randint(1, min(max_members, size))):
-            gb |= 1 << _nth_bit(cand, j)
+            gb |= 1 << nth_bit(cand, j)
         return ctx.closure(gb)
     raise RuntimeError("could not sample a cross-intersecting pair")
 
@@ -467,7 +456,7 @@ def sample_saturated_t_family(n: int, k: int, t: int, rng: random.Random,
         size = allowed.bit_count()
         if not size:
             break
-        chosen.append(ctx.masks[_nth_bit(allowed, rng.choice(range(size)))])
+        chosen.append(ctx.masks[nth_bit(allowed, rng.choice(range(size)))])
     return transversals.saturate_t(Family.from_masks(chosen, ctx.ground, k), t)
 
 

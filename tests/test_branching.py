@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossfam.families import DomainError, Family, GroundSet, NodeLimitExceeded, elements_of
+from crossfam.families import (DomainError, Family, GroundSet, NodeLimitExceeded,
+                               VerificationError, elements_of)
+from crossfam import branching
 from crossfam.branching import (
+    _finish_report,
+    _grow,
     run_branching_cross,
     run_branching_t,
     smallest_branching_level,
@@ -226,6 +230,160 @@ def test_frontier_matches_oracle(rule):
         want = oracle.branching_oracle(_sets(driver), _sets(cover), t, k, r, oracle_rng,
                                        cross=kind == "cross")
         assert rep.to_json() == json.dumps(want, sort_keys=True), name
+
+
+def _survivor_dicts(rep):
+    """rep.survivors in the oracle's JSON form."""
+    return [{"elements": list(s.elements),
+             "weight": f"{s.weight.numerator}/{s.weight.denominator}",
+             "chosen_sets": [list(elements_of(m)) for m in s.chosen_sets]}
+            for s in rep.survivors]
+
+
+def _mixed_parents(rep, t):
+    """The sequences with one child that survives and another that branches on."""
+    leaf = {s.elements[:-1] for s in rep.survivors}
+    live = {s.elements[:l] for s in rep.survivors for l in range(t, len(s.elements) - 1)}
+    return leaf & live
+
+
+def _run_with_oracle(name, kind, driver, cover, t, k, r, rule):
+    rng = random.Random(f"new-paths:{name}") if rule == "random" else None
+    oracle_rng = random.Random(f"new-paths:{name}") if rule == "random" else None
+    if kind == "cross":
+        rep = run_branching_cross(driver, cover, k=k, r=r, rng=rng)
+    else:
+        rep = run_branching_t(driver, t=t, k=k, r=r, rng=rng)
+    want = oracle.branching_oracle(_sets(driver), _sets(cover), t, k, r, oracle_rng,
+                                   cross=kind == "cross")
+    return rep, want
+
+
+@pytest.mark.parametrize("rule", ["det", "random"])
+def test_survivors_and_chunks_match_oracle(rule):
+    # the materialised survivors and the streamed text, both read from sibling
+    # groups, among them groups of parents whose other children branch on
+    mixed = 0
+    for case in _differential_cases():
+        rep, want = _run_with_oracle(*case, rule)
+        assert _survivor_dicts(rep) == want["survivors"], case[0]
+        chunks = list(rep.json_chunks())
+        assert len(chunks) > 2 and "".join(chunks) == rep.to_json(), case[0]
+        assert rep.to_json() == json.dumps(want, sort_keys=True), case[0]
+        mixed += bool(_mixed_parents(rep, case[4]))
+    assert mixed >= 5
+
+
+def test_cycle_parent_with_leaf_and_live_children():
+    # seed {1,3}: from (1,) the set {2,3} is chosen; (1, 2) meets every member,
+    # (1, 3) still misses {2, 4}
+    rep = run_branching_cross(CYCLE, MATCHING, k=3, r=2)
+    assert (1,) in _mixed_parents(rep, 1)
+    elements = [s.elements for s in rep.survivors]
+    assert (1, 2) in elements and any(e[:2] == (1, 3) and len(e) > 2 for e in elements)
+
+
+@pytest.mark.parametrize("rule", ["det", "random"])
+def test_seed_surviving_round_zero_matches_oracle(rule):
+    # the size-3 members both hold {1, 2}, so the seed pair (1, 2) has an empty
+    # first pool and survives in round 0.  The runners reject such a basis: a
+    # seed t-set inside every member of size <= r puts t elements in all of
+    # them, against tau_t >= t+1.  _grow is driven directly.
+    b = fam([(1, 2, 3), (1, 2, 4), (1, 3, 4, 5)], 8)
+    with pytest.raises(DomainError, match="tau"):
+        run_branching_t(b, t=2, k=4, r=3)
+    rng = random.Random("seed-survivor") if rule == "random" else None
+    oracle_rng = random.Random("seed-survivor") if rule == "random" else None
+    rep = _finish_report(*_grow(b.members, 3, 2, rng, 10 ** 6), b, 2, 4, 3, strict=False)
+    want = oracle.branching_oracle(_sets(b), _sets(b), 2, 4, 3, oracle_rng)
+    assert rep.survivors[0].elements == (1, 2)
+    assert rep.survivors[0].weight == Fraction(1, 3)
+    assert len(rep.survivors) > 1
+    assert _survivor_dicts(rep) == want["survivors"]
+    assert rep.to_json() == json.dumps(want, sort_keys=True)
+
+
+# the basis of a saturated 2-intersecting family on [8]: some child S + y is met
+# in fewer than 2 elements only by members that hold y and miss S, so whether
+# it is a leaf depends on plane 1 as well as plane 2
+T2_BASIS = fam([(1, 2, 3, 4), (1, 2, 4, 5), (1, 3, 4, 5), (1, 2, 3, 6), (1, 2, 4, 6),
+                (1, 3, 4, 6), (2, 3, 4, 6), (1, 2, 5, 6), (1, 3, 5, 6), (1, 2, 3, 8),
+                (1, 4, 6, 8)], 8)
+
+
+@pytest.mark.parametrize("rule", ["det", "random"])
+def test_t2_leaf_test_reads_both_planes(rule):
+    rep, want = _run_with_oracle("t2_basis", "t", T2_BASIS, T2_BASIS, 2, 4, 4, rule)
+    assert len(rep.survivors) > 50
+    assert _survivor_dicts(rep) == want["survivors"]
+    assert rep.to_json() == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("rule", ["det", "random"])
+def test_coverage_of_each_set_matches_oracle(rule):
+    # coverage read from the groups, one cover set of size r..k at a time: the
+    # sets of sequences that were live and branched on are not survivors' sets
+    seen = {True: 0, False: 0}
+    for name, kind, driver, _, t, k, r in _differential_cases():
+        n = driver.ground.n
+        rng = random.Random(f"cover:{name}") if rule == "random" else None
+        oracle_rng = random.Random(f"cover:{name}") if rule == "random" else None
+        grown = _grow(driver.members, r, t, rng, 10 ** 6)
+        want = oracle.branching_oracle(_sets(driver), _sets(driver), t, k, r, oracle_rng,
+                                       cross=kind == "cross")
+        survivor_sets = {frozenset(s["elements"]) for s in want["survivors"]}
+        for l in range(r, k + 1):
+            for c in combinations(range(1, n + 1), l):
+                rep = _finish_report(*grown, fam([c], n), t, k, r, strict=False)
+                assert rep.coverage_ok == (frozenset(c) in survivor_sets), (name, c)
+                seen[rep.coverage_ok] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("rule", ["det", "random"])
+@pytest.mark.parametrize("name", ["cycle", "simplex", "layer_cross_7_4", "layer_t_6_4_2"])
+def test_node_limit_counts_every_extension(name, rule):
+    # every sequence made by an extension is a survivor's prefix longer than t;
+    # a limit of exactly that many passes, one fewer raises
+    _, kind, driver, cover, t, k, r = next(c for c in _differential_cases() if c[0] == name)
+
+    def run(max_nodes):
+        rng = random.Random(f"limit:{name}") if rule == "random" else None
+        if kind == "cross":
+            return run_branching_cross(driver, cover, k=k, r=r, rng=rng, max_nodes=max_nodes)
+        return run_branching_t(driver, t=t, k=k, r=r, rng=rng, max_nodes=max_nodes)
+
+    rep = run(10 ** 6)
+    nodes = len({s.elements[:l] for s in rep.survivors
+                 for l in range(t + 1, len(s.elements) + 1)})
+    assert run(nodes).to_json() == rep.to_json()
+    with pytest.raises(NodeLimitExceeded, match=f"exceeded {nodes - 1} nodes"):
+        run(nodes - 1)
+
+
+def test_conservation_is_checked_every_round(monkeypatch):
+    # an error of 2^-60 in any one weight sum, however late, is a VerificationError
+    calls = []
+    exact = branching._weight_sum
+
+    def counting(groups):
+        calls.append(1)
+        return exact(groups)
+
+    monkeypatch.setattr(branching, "_weight_sum", counting)
+    rep = run_branching_cross(CYCLE, MATCHING, k=3, r=2)
+    rounds = max(len(s.elements) for s in rep.survivors)  # seeds, then one per extension
+    assert rounds == 3 and len(calls) >= rounds
+    for bad in range(len(calls)):
+        seen = []
+
+        def corrupt(groups):
+            seen.append(1)
+            return exact(groups) + (Fraction(1, 2 ** 60) if len(seen) == bad + 1 else 0)
+
+        monkeypatch.setattr(branching, "_weight_sum", corrupt)
+        with pytest.raises(VerificationError, match="mid-run"):
+            run_branching_cross(CYCLE, MATCHING, k=3, r=2)
 
 
 _SPLICE_CASES = {

@@ -234,6 +234,30 @@ def test_branch_json_matches_envelope_dump(capsys, tmp_path, bases, k, r, rule):
     assert strip_timestamp(out) == json.dumps(envelope, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("name, fams, extra", [
+    pytest.param("cross", lambda: (_layer(7, 4), _layer(7, 4)), ("--k", "4", "--r", "4"),
+                 id="layer_cross_7_4"),
+    pytest.param("t", lambda: (_layer(6, 4),), ("--t", "2", "--k", "4", "--r", "4"),
+                 id="layer_t_6_4_2"),
+])
+@pytest.mark.parametrize("rule", ["det", "random"])
+def test_branch_report_same_on_stdout_and_output(capsys, tmp_path, name, fams, extra, rule):
+    # the streamed report writes the same bytes to either sink
+    path = tmp_path / "in.fam"
+    path.write_text(families_to_text(fams()))
+    argv = ["branch", "--name", name, "--input", str(path), *extra, "--seed", "5"]
+    argv += ["--random-rule"] if rule == "random" else []
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    report = tmp_path / "report.json"
+    code, out_file, _ = run_cli(capsys, *argv, "--output", str(report))
+    assert code == 0 and out_file == ""
+    with open(report, newline="") as fh:
+        written = fh.read()
+    assert strip_timestamp(written) == strip_timestamp(out)
+    assert json.loads(written)["result"]["total_weight"] == "1/1"
+
+
 def test_branch_csv_and_text_use_dict_form(capsys, tmp_path):
     path = tmp_path / "basis.fam"
     path.write_text("n=6 k=*\n1,2\n1,3\n2,3\n")

@@ -14,6 +14,7 @@ from crossfam.families import (
     elements_of,
     is_cross_intersecting,
     is_cross_sperner,
+    nth_bit,
     wedge,
 )
 from crossfam.constructions import four_star_pair, triangle_family
@@ -23,7 +24,6 @@ from crossfam.search import (
     _antichains,
     _closed_sets,
     _maximal_cliques,
-    _nth_bit,
     _subset_context,
     all_saturated_pairs,
     are_isomorphic,
@@ -150,7 +150,7 @@ def test_pair_sampler_matches_pool_sampler(n, k):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 1 << 300))
 def test_nth_bit_matches_indices(bits):
-    assert [_nth_bit(bits, j) for j in range(bits.bit_count())] == [
+    assert [nth_bit(bits, j) for j in range(bits.bit_count())] == [
         e - 1 for e in elements_of(bits)]
 
 

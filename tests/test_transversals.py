@@ -206,6 +206,16 @@ def test_t_rows_of_a_complete_graph_need_no_table(monkeypatch, n, k, t):
     assert all(row(m) == ctx.full_bits for m in ctx.masks)
 
 
+def test_cold_layer_context_builds_its_layer_once():
+    # the context and the sets_above table its "meets" rows read share one build
+    for cached in (layer_context, sets_above, full_layer):
+        cached.cache_clear()
+    ctx = layer_context(9, 3)
+    assert ctx.adj is not None
+    assert full_layer.cache_info().misses == 1
+    assert ctx.masks == full_layer(GroundSet(9), 3).members
+
+
 def _t_families(n, k, t, count):
     """Seeded t-intersecting families of up to 4 k-sets, drawn by the oracle sampler."""
     return [oracle.sample_t_draws(n, k, t, random.Random(f"sat:{n}:{k}:{t}:{i}"), 4)
