@@ -28,15 +28,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("gate", "search", "branching")
+SEED = 1  # every BENCH_*.json uses it, so files compare run for run
 # "  pass_s     1.16744 s     q1 1.11455 q3 1.1764 n=4", as perfbench/run.py prints it
 LINE = re.compile(r"^  (\S+)\s+(\S+) (\S+)\s+q1 (\S+) q3 (\S+) n=(\d+)$")
 
 
-def run_workload(workload: str, seed: int, seconds: float, size: str,
-                 end_to_end: set[str]) -> dict:
+def run_workload(workload: str, seconds: float, size: str, end_to_end: set[str]) -> dict:
     """One perfbench run of workload, as {"correct", ..., "end_to_end", "parts"}."""
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0", "--size", size]
+           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0", "--size", size]
     proc = subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -57,7 +57,6 @@ def run_workload(workload: str, seed: int, seconds: float, size: str,
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=25.0, help="per workload")
     ap.add_argument("--size", choices=("full", "small"), default="full")
     ap.add_argument("--out-dir", default=str(ROOT))
@@ -65,11 +64,11 @@ def main() -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     end_to_end = {m["name"] for m in spec["end_to_end"]}
-    report = {"label": args.label, "seed": args.seed, "seconds": args.seconds,
+    report = {"label": args.label, "seed": SEED, "seconds": args.seconds,
               "size": args.size, "python": platform.python_version(),
               "machine": f"{platform.system()} {platform.machine()}", "workloads": {}}
     for workload in WORKLOADS:
-        got = run_workload(workload, args.seed, args.seconds, args.size, end_to_end)
+        got = run_workload(workload, args.seconds, args.size, end_to_end)
         report["workloads"][workload] = got
         pass_s = got["end_to_end"].get("pass_s", {}).get("median")
         print(f"{workload}: correct {got['correct']}, pass_s median {pass_s}", file=sys.stderr)

@@ -75,11 +75,10 @@ class BranchSequence:
 class BranchReport:
     """Outcome of a branching run; all rationals are exact.
 
-    groups holds the survivors as sibling groups (prefix, d, chosen_sets, ys,
-    prefix mask, mask of ys), in survivor order: the survivors prefix + (y,)
-    for y in ys, each of weight 1/d.  ``survivors`` is the materialised list
-    of ``BranchSequence``, built on first use and cached; the report text
-    never needs it.
+    groups holds the survivors as sibling groups (prefix, d, chosen_sets, ys),
+    in survivor order: the survivors prefix + (y,) for y in ys, each of
+    weight 1/d.  ``survivors`` is the materialised list of ``BranchSequence``,
+    built on first use and cached; the report text never needs it.
     """
 
     groups: list
@@ -94,7 +93,7 @@ class BranchReport:
     def survivors(self) -> list[BranchSequence]:
         weights: dict[int, Fraction] = {}
         return [BranchSequence(prefix + (y,), weights.setdefault(d, Fraction(1, d)), chosen)
-                for prefix, d, chosen, ys, _, _ in self.groups for y in ys]
+                for prefix, d, chosen, ys in self.groups for y in ys]
 
     def _scalars(self) -> dict:
         """Every field of the JSON form except the survivors."""
@@ -136,7 +135,7 @@ class BranchReport:
         sets: dict[int, str] = {}
         tuples: dict[tuple[int, ...], str] = {}
         sep = ""
-        for prefix, d, chosen_sets, ys, _, _ in self.groups:
+        for prefix, d, chosen_sets, ys in self.groups:
             chosen = tuples.get(chosen_sets)
             if chosen is None:
                 for m in chosen_sets:
@@ -259,8 +258,7 @@ def _grow(members: tuple[int, ...], r: int, t: int, rng: random.Random | None,
         if pool:
             frontier.append((combo, d, (seed,), mask_of(combo), planes, pool))
         else:
-            bit = 1 << (combo[-1] - 1)
-            groups.append((combo[:-1], d, (seed,), [combo[-1]], mask_of(combo) ^ bit, bit))
+            groups.append((combo[:-1], d, (seed,), [combo[-1]]))
     live = [(d, len(frontier))]
     retired = Fraction(0)
     done = 0
@@ -285,20 +283,17 @@ def _grow(members: tuple[int, ...], r: int, t: int, rng: random.Random | None,
             chosen_sets += (chosen,)
             top, below = planes[t], planes[t - 1]
             ys = []
-            kept = 0
             before = len(nxt)
             for y in elements_of(free):
                 h = hit[y]
                 if top | below & h == full:  # no member meets S + y in < t elements
                     ys.append(y)
                     continue
-                bit = 1 << (y - 1)
-                kept |= bit
                 child = extend(planes, h)
-                nxt.append((elements + (y,), d, chosen_sets, smask | bit, child,
+                nxt.append((elements + (y,), d, chosen_sets, smask | 1 << (y - 1), child,
                             full ^ child[t]))
             if ys:
-                groups.append((elements, d, chosen_sets, ys, smask, free ^ kept))
+                groups.append((elements, d, chosen_sets, ys))
             if len(nxt) > before:
                 live.append((d, len(nxt) - before))
         frontier = nxt
@@ -315,13 +310,13 @@ def _finish_report(groups: list, total: Fraction, cover: Family, t: int, k: int,
     """
     level_counts: dict[int, int] = {}
     ds = set()  # (level, d) at levels >= r: a group's survivors share both
-    reach: dict[int, int] = {}  # prefix mask -> the ys completing it to a survivor
-    for prefix, d, _, ys, pmask, ybits in groups:
+    reach: dict[int, list] = {}  # prefix mask -> the ys lists of its groups
+    for prefix, d, _, ys in groups:
         level = len(prefix) + 1
         level_counts[level] = level_counts.get(level, 0) + len(ys)
         if level >= r:
             ds.add((level, d))
-            reach[pmask] = reach.get(pmask, 0) | ybits
+            reach.setdefault(mask_of(prefix), []).append(ys)
 
     def floor_d(l: int) -> int:
         return comb(l, t) * l * k ** (l - t - 1)
@@ -331,8 +326,8 @@ def _finish_report(groups: list, total: Fraction, cover: Family, t: int, k: int,
         cover_levels.setdefault(m.bit_count(), []).append(m)
     # a survivor's sequence has no repeats, so its set fixes its level; the
     # set m is a survivor's iff some y in m completes m - y in a group
-    coverage_ok = all(any(reach.get(m ^ 1 << (y - 1), 0) >> (y - 1) & 1
-                          for y in elements_of(m))
+    coverage_ok = all(any(y in ys for y in elements_of(m)
+                          for ys in reach.get(m ^ 1 << (y - 1), ()))
                       for level, masks in cover_levels.items() if level >= r
                       for m in masks)
 

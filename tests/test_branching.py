@@ -340,6 +340,15 @@ def test_coverage_of_each_set_matches_oracle(rule):
     assert all(seen.values()), seen
 
 
+def test_coverage_reads_every_group_of_a_prefix_set():
+    # two groups whose prefixes are one set in two orders: {1, 2, 3} is a
+    # survivor's set only through the second group's y = 3
+    groups = [((1, 2), 4, (), [4]), ((2, 1), 4, (), [3])]
+    for cover, covered in (([(1, 2, 3)], True), ([(1, 2, 4)], True), ([(1, 3, 4)], False)):
+        rep = _finish_report(groups, Fraction(1, 2), fam(cover, 4), 1, 3, 3, strict=False)
+        assert rep.coverage_ok == covered, cover
+
+
 @pytest.mark.parametrize("rule", ["det", "random"])
 @pytest.mark.parametrize("name", ["cycle", "simplex", "layer_cross_7_4", "layer_t_6_4_2"])
 def test_node_limit_counts_every_extension(name, rule):
