@@ -5,7 +5,7 @@ itertools only.  Tests compare package results against these oracles and
 against literals frozen from oracle runs.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 
@@ -46,6 +46,26 @@ def pair_t_intersecting(f, t):
 def window_sets(n, k, t):
     w = frozenset(range(1, t + 3))
     return [s for s in ksets(n, k) if len(s & w) >= t + 1]
+
+
+def window_relabeling_oracle(members, t, n, k):
+    """Whether a relabeling of [n] maps the k-sets containing some member
+    (frozensets) onto window_sets(n, k, t).
+
+    Tries every bijection of the members' support onto {1, ..., t+2}, the
+    other elements kept in order; a support of another size gives False.
+    """
+    support = sorted(frozenset().union(*members))
+    if len(support) != t + 2:
+        return False
+    closure = [s for s in ksets(n, k) if any(m <= s for m in members)]
+    want = set(window_sets(n, k, t))
+    rest = [e for e in range(1, n + 1) if e not in support]
+    for image in permutations(range(1, t + 3)):
+        perm = dict(zip(support + rest, image + tuple(range(t + 3, n + 1))))
+        if {frozenset(perm[e] for e in s) for s in closure} == want:
+            return True
+    return False
 
 
 def min_cover_size(f, t=1):

@@ -457,6 +457,31 @@ def test_verify_window_closure_errors_and_false():
     assert verify_window_closure(partial, 2, 8, 4) is False
 
 
+@st.composite
+def _window_inputs(draw):
+    t = draw(st.integers(1, 3))
+    n = draw(st.integers(t + 2, 9))
+    k = draw(st.integers(t + 1, n))
+    support = draw(st.permutations(range(1, n + 1)))[:draw(st.sampled_from((t + 2, t + 3)))]
+    pool = [frozenset(c) for c in combinations(sorted(support), t + 1)]
+    members = draw(st.lists(st.sampled_from(pool), min_size=3, unique=True))
+    return members, t, n, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(_window_inputs())
+def test_verify_window_closure_matches_all_relabelings(case):
+    # supports anywhere in [n], of t+2 or t+3 elements, full or partial
+    members, t, n, k = case
+    basis = fam(members, n)
+    if not oracle.pair_t_intersecting(members, t) or oracle.min_cover_size(members, t) <= t:
+        with pytest.raises(DomainError):
+            verify_window_closure(basis, t, n, k)
+    else:
+        assert verify_window_closure(basis, t, n, k) is oracle.window_relabeling_oracle(
+            members, t, n, k)
+
+
 def test_smallest_branching_level():
     a1, a2 = four_star_pair(8, 3)
     b1, _ = basis_pair(a1, a2)

@@ -530,6 +530,8 @@ GOLDEN_REPORTS = [
      "8031b6f7d7c56d2531e06d03646cecbc54069d22dfdbc090d26cb71bc4db4ebe"),
     ("check --name inequality_grid --n 30 --k 6",
      "b44a11257a9439fbd467ae59de3014fc12370d545660f13352623d85b0c74b58"),
+    ("verify-all --criteria 1,2,3,4",
+     "6af3deed26b130dfc90b180c79fb1757944ec2fb998d7ead3d33d8e7647f3a34"),
     ("verify-all --criteria 8,9,10,11",
      "eeac513163946792a29f40113b06d356af0ad0ad2b42c365f62fb6bedc94eb1a"),
 ]

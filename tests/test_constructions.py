@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from crossfam import constructions
@@ -36,6 +38,80 @@ def test_star_examples():
     assert star(5, 2, [1, 2, 3]).sets() == ()  # center larger than k
     with pytest.raises(DomainError):
         star(4, 2, [5])
+
+
+_WINDOW_REFUSAL = "need t >= 1, k > t, n >= max(k, t+2); got n={n} k={k} t={t}"
+
+
+def _expected_star(n, k, center):
+    if max(center, default=0) > n:
+        return f"center {tuple(center)} not inside [{n}]"
+    if k < 0:
+        return f"uniformity {k} out of range for n={n}"
+    if k > n:
+        return f"k={k} out of range for n={n}"
+    return oracle.star_sets(n, k, center)
+
+
+def _expected_four_star(n, k, centers):
+    if k < 2:
+        return f"need k >= 2, got k={k}"
+    low = max(6 if k >= 3 else 4, k)
+    if n < low:
+        return f"need n >= {low} at k={k}, got n={n}"
+    return oracle.union_families(*(oracle.star_sets(n, k, c) for c in centers))
+
+
+def _expected_window(n, k, t):
+    if t < 1 or k < t + 1 or n < max(k, t + 2):
+        return _WINDOW_REFUSAL.format(n=n, k=k, t=t)
+    return oracle.window_sets(n, k, t)
+
+
+def _builder_cases():
+    a1 = ((1, 2), (3, 4), (1, 4, 5), (2, 3, 6))
+    a2 = ((1, 3), (2, 4), (1, 4, 6), (2, 3, 5))
+    for n in range(1, 11):
+        for k in range(-1, n + 2):
+            for center in ([], [1], [1, 1], [2, 3], [1, 2, 3], [3, 1, 4, 2], [n]):
+                yield n, k, (lambda: star(n, k, center)), _expected_star(n, k, center)
+            yield n, k, (lambda: four_star_pair(n, k)[0]), _expected_four_star(n, k, a1)
+            yield n, k, (lambda: four_star_pair(n, k)[1]), _expected_four_star(n, k, a2)
+            yield n, k, (lambda: triangle_family(n, k)), _expected_window(n, k, 1)
+            for t in range(0, 4):
+                yield n, k, (lambda: window_family(n, k, t)), _expected_window(n, k, t)
+
+
+def test_builders_match_the_oracle_on_the_grid():
+    # every n <= 10, k in -1..n+1, t <= 3: the oracle's family, or the refusal
+    for n, k, build, want in _builder_cases():
+        if isinstance(want, str):
+            with pytest.raises(DomainError) as err:
+                build()
+            assert str(err.value) == want
+        else:
+            got = build()
+            assert (got.ground.n, got.uniformity) == (n, k)
+            assert sorted(map(frozenset, got.sets()), key=sorted) == sorted(want, key=sorted)
+
+
+@pytest.mark.parametrize("build, want", [
+    (lambda: star(3, 2, [1, 1]).sets(), ((1, 2), (1, 3))),
+    (lambda: star(1, 1, [1, 1]).sets(), ((1,),)),
+    (lambda: star(4, 0, []).sets(), ((),)),
+    (lambda: star(4, -1, [1]), "uniformity -1 out of range for n=4"),
+    (lambda: star(4, -1, []), "uniformity -1 out of range for n=4"),
+    (lambda: star(4, 5, [1]), "k=5 out of range for n=4"),
+    (lambda: four_star_pair(8, -1), "need k >= 2, got k=-1"),
+    (lambda: window_family(8, -1, 1), _WINDOW_REFUSAL.format(n=8, k=-1, t=1)),
+    (lambda: triangle_family(8, -1), _WINDOW_REFUSAL.format(n=8, k=-1, t=1)),
+])
+def test_builder_edge_cases(build, want):
+    if isinstance(want, str):
+        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+            build()
+    else:
+        assert build() == want
 
 
 def test_four_star_pair_k2():
