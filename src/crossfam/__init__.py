@@ -35,7 +35,6 @@ from .transversals import (
     upward_closure,
 )
 from .constructions import (
-    ConstructionSpec,
     construct,
     four_core_pair,
     four_star_pair,

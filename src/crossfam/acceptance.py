@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 from .branching import run_branching_cross, run_branching_t, smallest_branching_level
@@ -75,38 +76,26 @@ class CriterionResult:
         return f"criterion {self.index:2d} [{status}] {self.name}: {self.detail} ({self.seconds:.1f}s)"
 
 
-def _c01_formula_a1a2() -> tuple[bool, str]:
-    cases = 0
-    for k in range(2, 6):
-        for n in range(max(6, 2 * k), 13):
-            a1, a2 = four_star_pair(n, k)
-            if brute_count("I_pair", a1, a2) != eval_formula("I_A1A2_15", n=n, k=k):
-                return False, f"mismatch at n={n} k={k}"
-            cases += 1
-    return True, f"brute |I(A1,A2)| = closed form on {cases} (n,k) cells"
+# formula id -> (the brute count of the construction it is the closed form
+# of, that count's label, the cells checked in order)
+_AGREEMENT = {
+    "I_A1A2_15": (lambda n, k: brute_count("I_pair", *four_star_pair(n, k)), "|I(A1,A2)|",
+                  [{"n": n, "k": k} for k in range(2, 6) for n in range(max(6, 2 * k), 13)]),
+    "I_Ankt_17": (lambda n, k, t: brute_count("I_self", window_family(n, k, t)),
+                  "|I(A(n,k,t))|",
+                  [{"n": n, "k": k, "t": t} for t in (1, 2, 3) for k in range(t + 1, 6)
+                   for n in range(2 * k - t + 1, 13)]),
+    "I_A3_case31": (lambda n, k: brute_count("I_self", triangle_family(n, k)), "|I(A3)|",
+                    [{"n": n, "k": k} for k in (2, 3, 4) for n in range(2 * k, 13)]),
+}
 
 
-def _c02_formula_ankt() -> tuple[bool, str]:
-    cases = 0
-    for t in (1, 2, 3):
-        for k in range(t + 1, 6):
-            for n in range(2 * k - t + 1, 13):
-                fam = window_family(n, k, t)
-                if brute_count("I_self", fam) != eval_formula("I_Ankt_17", n=n, k=k, t=t):
-                    return False, f"mismatch at n={n} k={k} t={t}"
-                cases += 1
-    return True, f"brute |I(A(n,k,t))| = closed form on {cases} (n,k,t) cells"
-
-
-def _c03_formula_a3() -> tuple[bool, str]:
-    cases = 0
-    for k in (2, 3, 4):
-        for n in range(2 * k, 13):
-            fam = triangle_family(n, k)
-            if brute_count("I_self", fam) != eval_formula("I_A3_case31", n=n, k=k):
-                return False, f"mismatch at n={n} k={k}"
-            cases += 1
-    return True, f"brute |I(A3)| = closed form on {cases} (n,k) cells"
+def _formula_agreement(fid: str) -> tuple[bool, str]:
+    count, label, cells = _AGREEMENT[fid]
+    for cell in cells:
+        if count(**cell) != eval_formula(fid, **cell):
+            return False, "mismatch at " + " ".join(f"{p}={v}" for p, v in cell.items())
+    return True, f"brute {label} = closed form on {len(cells)} ({','.join(cells[0])}) cells"
 
 
 def _c04_wedge_formulas() -> tuple[bool, str]:
@@ -326,9 +315,8 @@ def _c12_cited_bounds() -> tuple[bool, str]:
 
 
 CRITERIA = (
-    ("formula agreement for |I(A1,A2)|", _c01_formula_a1a2),
-    ("formula agreement for |I(A(n,k,t))|", _c02_formula_ankt),
-    ("formula agreement for |I(A3)|", _c03_formula_a3),
+    *((f"formula agreement for {label}", partial(_formula_agreement, fid))
+      for fid, (_, label, _) in _AGREEMENT.items()),
     ("star wedge and two-star union counts", _c04_wedge_formulas),
     ("nu <= 4 on the corank-1 layer, with tight example", _c05_corank_matching),
     ("branching conservation, coverage, level inequality", _c06_branching),

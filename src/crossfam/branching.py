@@ -41,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 from operator import and_
 from typing import Iterator
@@ -170,13 +170,6 @@ def splice_parts(obj: dict, key: str) -> tuple[str, str]:
     tail = json.dumps({k: v for k, v in obj.items() if k > key}, sort_keys=True)[1:-1]
     return ("{" + (head + ", " if head else "") + json.dumps(key) + ": ",
             (", " + tail if tail else "") + "}")
-
-
-def splice_json(obj: dict, key: str, encoded: str) -> str:
-    """The bytes of ``json.dumps(obj | {key: value}, sort_keys=True)``, where
-    ``encoded`` is the JSON text of value, taken verbatim."""
-    head, tail = splice_parts(obj, key)
-    return head + encoded + tail
 
 
 def _tau_t_exceeds_t(members, t: int) -> bool:
@@ -349,7 +342,7 @@ def _finish_report(groups: list, total: Fraction, cover: Family, t: int, k: int,
 
 
 def run_branching_cross(b1: Family, b2: Family, k: int, r: int,
-                        rng: random.Random | None = None, strict: bool = True,
+                        rng: random.Random | None = None,
                         max_nodes: int = 10 ** 6) -> BranchReport:
     """Run the weighted branching process driven by b1 against b2.
 
@@ -359,8 +352,9 @@ def run_branching_cross(b1: Family, b2: Family, k: int, r: int,
     every extension is by a member disjoint from the sequence.  Survivor
     sets of each level l >= r must include every level-l member of b2,
     each survivor at level l >= r has weight at least 1/(l^2 k^(l-2)), and
-    the normalised level counts of b2 sum to at most 1.  Raises
-    NodeLimitExceeded past max_nodes sequences.
+    the normalised level counts of b2 sum to at most 1; a failed check
+    raises VerificationError.  Raises NodeLimitExceeded past max_nodes
+    sequences.
     """
     if not b1.members or not b2.members:
         raise DomainError("branching needs nonempty bases")
@@ -377,19 +371,20 @@ def run_branching_cross(b1: Family, b2: Family, k: int, r: int,
     if not low or not _tau_t_exceeds_t(low, 1):
         raise DomainError(f"hypothesis tau(B1 restricted to sizes <= {r}) >= 2 violated")
 
-    return _finish_report(*_grow(b1.members, r, 1, rng, max_nodes), b2, 1, k, r, strict)
+    return _finish_report(*_grow(b1.members, r, 1, rng, max_nodes), b2, 1, k, r, strict=True)
 
 
 def run_branching_t(b: Family, t: int, k: int, r: int,
-                    rng: random.Random | None = None, strict: bool = True,
+                    rng: random.Random | None = None,
                     max_nodes: int = 10 ** 6) -> BranchReport:
     """Run the t-intersecting branching process on the basis b.
 
     Requires b to be a t-intersecting antichain of sets of size <= k with
     min-size at least t+1 and tau_t of the <=r part at least t+1.  The
     first stage splits on every t-subset of a minimum-size member with
-    weight 1/C(s, t); extension steps divide by |B - S|.  Raises
-    NodeLimitExceeded past max_nodes sequences.
+    weight 1/C(s, t); extension steps divide by |B - S|.  The report's
+    checks are those of the cross process, and a failed one raises
+    VerificationError.  Raises NodeLimitExceeded past max_nodes sequences.
     """
     if t < 1:
         raise DomainError(f"t must be >= 1, got {t}")
@@ -408,16 +403,19 @@ def run_branching_t(b: Family, t: int, k: int, r: int,
     if not low or not _tau_t_exceeds_t(low, t):
         raise DomainError(f"hypothesis tau_t(B restricted to sizes <= {r}) >= t+1 violated")
 
-    return _finish_report(*_grow(b.members, r, t, rng, max_nodes), b, t, k, r, strict)
+    return _finish_report(*_grow(b.members, r, t, rng, max_nodes), b, t, k, r, strict=True)
 
 
 def verify_window_closure(b: Family, t: int, n: int, k: int) -> bool:
     """Whether the upward k-closure of b is the window family up to relabeling.
 
     b must be a (t+1)-uniform t-intersecting antichain over [n] with
-    tau_t(b) >= t+1.  Relabelings are checked by mapping the (at most t+2)
-    support elements onto {1, ..., t+2} in every possible way and extending
-    order-preservingly elsewhere.
+    tau_t(b) >= t+1.  The relabelings tried map the t+2 support elements
+    onto {1, ..., t+2} and the other elements onto the others.  One of them
+    decides: two such maps differ by a permutation that fixes {1, ..., t+2}
+    setwise, and every such permutation fixes the window family.  The one
+    used keeps both parts in order, and since relabeling commutes with the
+    closure it is applied to b.
     """
     if b.ground.n != n:
         raise DomainError(f"basis lives on [{b.ground.n}], expected [{n}]")
@@ -436,21 +434,8 @@ def verify_window_closure(b: Family, t: int, n: int, k: int) -> bool:
     if n < max(k, t + 2):
         raise DomainError(f"need n >= max(k, t+2), got n={n} k={k}")
 
-    closure = upward_closure(b, k)
-    target = window_family(n, k, t)
-    window = tuple(range(1, t + 3))
-    others_src = [e for e in range(1, n + 1) if e not in support]
-    others_dst = [e for e in range(1, n + 1) if e not in window]
-
-    for image in permutations(window):
-        perm = list(range(n + 1))
-        for src, dst in zip(support, image):
-            perm[src] = dst
-        for src, dst in zip(others_src, others_dst):
-            perm[src] = dst
-        remapped = Family.from_masks(
-            (mask_of(perm[e] for e in elements_of(m)) for m in closure.members),
-            closure.ground, k)
-        if remapped == target:
-            return True
-    return False
+    order = support + tuple(e for e in range(1, n + 1) if e not in support)
+    perm = dict(zip(order, range(1, n + 1)))
+    relabeled = Family.from_masks((mask_of(perm[e] for e in elements_of(m)) for m in b.members),
+                                  b.ground)
+    return upward_closure(relabeled, k) == window_family(n, k, t)

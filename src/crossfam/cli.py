@@ -155,17 +155,20 @@ def _cmd_check(args) -> int:
         }
         _emit(_report(args, result), args.output)
         return 0 if rep["all_passed"] else 1
-    if args.name in _CHECK_SUITES:
-        results = acceptance.run_all(_CHECK_SUITES[args.name])
-        payload = [
-            {"criterion": r.index, "name": r.name, "passed": r.passed,
-             "detail": r.detail}
-            for r in results
-        ]
-        _emit(_report(args, payload), args.output)
-        return 0 if all(r.passed for r in results) else 1
-    raise DomainError(f"unknown check suite {args.name!r}; "
-                      f"choose from {sorted(_CHECK_SUITES)}")
+    if args.name not in _CHECK_SUITES:
+        raise DomainError(f"unknown check suite {args.name!r}; "
+                          f"choose from {sorted(_CHECK_SUITES)}")
+    unread = [flag for flag in ("--n", "--k") if getattr(args, flag[2:]) is not None]
+    if unread:
+        raise DomainError(f"check suite {args.name!r} does not read {' or '.join(unread)}")
+    results = acceptance.run_all(_CHECK_SUITES[args.name])
+    payload = [
+        {"criterion": r.index, "name": r.name, "passed": r.passed,
+         "detail": r.detail}
+        for r in results
+    ]
+    _emit(_report(args, payload), args.output)
+    return 0 if all(r.passed for r in results) else 1
 
 
 def _cmd_search(args) -> int:

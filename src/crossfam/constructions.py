@@ -1,5 +1,10 @@
 """Named extremal families and counterexample gadgets, built exactly.
 
+The paper's extremal families are unions of stars S_T (the k-sets
+containing T) over declared bases T: the star's centre, ``FOUR_STAR_BASES``
+for A1 and A2, and ``window_basis(t)`` for A(n,k,t).  Each builder checks
+its arguments and takes one ``transversals.upward_closure`` of its bases.
+
 The CLI-facing names (star, A1, A2, A3, Ankt, prop21_tight, antichain_52,
 cross_sperner_54) are stable identifiers, the keys of the ``_CONSTRUCTIONS``
 table; the functions carry descriptive names.  Pair-valued constructions
@@ -11,61 +16,59 @@ scan order, that breaks the advertised property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .families import DomainError, Family, GroundSet, elements_of, full_layer, mask_of
 from .formulas import _need
+from .transversals import upward_closure
+
+# A1 and A2: each side is two pair-stars and two triple-stars
+FOUR_STAR_BASES = (((1, 2), (3, 4), (1, 4, 5), (2, 3, 6)),
+                   ((1, 3), (2, 4), (1, 4, 6), (2, 3, 5)))
+
+
+def window_basis(t: int) -> tuple[tuple[int, ...], ...]:
+    """The bases of A(n,k,t): the (t+1)-subsets of {1, ..., t+2}."""
+    return tuple(combinations(range(1, t + 3), t + 1))
+
+
+def _stars(n: int, k: int, bases) -> Family:
+    """The k-sets of [n] containing some basis set; one above k adds nothing."""
+    masks = [m for m in map(mask_of, bases) if m.bit_count() <= k]
+    return upward_closure(Family.from_masks(masks, GroundSet(n)), k)
+
 
 def star(n: int, k: int, center) -> Family:
     """All k-sets of [n] containing the fixed set `center`."""
-    ground = GroundSet(n)
-    t_mask = mask_of(center)
-    if not ground.contains_mask(t_mask):
+    if not GroundSet(n).contains_mask(mask_of(center)):
         raise DomainError(f"center {tuple(center)} not inside [{n}]")
-    size = t_mask.bit_count()
-    if size > k:
-        return Family.empty(ground, k)
-    if not 0 <= k <= n:
+    if k < 0:
+        raise DomainError(f"uniformity {k} out of range for n={n}")
+    if k > n:
         raise DomainError(f"k={k} out of range for n={n}")
-    rest = [e for e in ground.elements() if not t_mask >> (e - 1) & 1]
-    masks = [t_mask | mask_of(c) for c in combinations(rest, k - size)]
-    return Family.from_masks(masks, ground, k)
-
-
-def _star_union(n: int, k: int, centers) -> Family:
-    fam = Family.empty(GroundSet(n), k)
-    for c in centers:
-        if len(c) <= k:
-            fam = fam.union(star(n, k, c))
-    return fam
+    return _stars(n, k, [center])
 
 
 def four_star_pair(n: int, k: int) -> tuple[Family, Family]:
     """The pair of four-star unions that maximises distinct intersections.
 
-    Each side is the union of two pair-stars and two triple-stars; at k = 2
-    the triple-stars are empty and only elements 1..4 are used, so n >= 4
-    suffices there (n >= 6 otherwise).
+    At k = 2 the triple-stars are empty and only elements 1..4 are used, so
+    n >= 4 suffices there (n >= 6 otherwise).
     """
     if k < 2:
         raise DomainError(f"need k >= 2, got k={k}")
     needed = 6 if k >= 3 else 4
     if n < max(needed, k):
         raise DomainError(f"need n >= {max(needed, k)} at k={k}, got n={n}")
-    a1 = _star_union(n, k, [(1, 2), (3, 4), (1, 4, 5), (2, 3, 6)])
-    a2 = _star_union(n, k, [(1, 3), (2, 4), (1, 4, 6), (2, 3, 5)])
-    return a1, a2
+    a1, a2 = FOUR_STAR_BASES
+    return _stars(n, k, a1), _stars(n, k, a2)
 
 
 def window_family(n: int, k: int, t: int) -> Family:
     """All k-sets meeting {1, ..., t+2} in at least t+1 elements."""
     if t < 1 or k < t + 1 or n < max(k, t + 2):
         raise DomainError(f"need t >= 1, k > t, n >= max(k, t+2); got n={n} k={k} t={t}")
-    window = mask_of(range(1, t + 3))
-    masks = [m for m in full_layer(GroundSet(n), k).members
-             if (m & window).bit_count() >= t + 1]
-    return Family.from_masks(masks, GroundSet(n), k)
+    return _stars(n, k, window_basis(t))
 
 
 def triangle_family(n: int, k: int) -> Family:
@@ -127,17 +130,6 @@ def split_cross_sperner_pair(n: int, x_elements) -> tuple[Family, Family]:
     a = Family.from_masks((y_mask | s for s in proper_subsets(x_mask)), ground)
     b = Family.from_masks((x_mask | s for s in proper_subsets(y_mask)), ground)
     return a, b
-
-
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """A named construction plus its parameter map (CLI plumbing)."""
-
-    name: str
-    params: dict = field(default_factory=dict)
-
-    def build(self):
-        return construct(self.name, self.params)
 
 
 # name -> (integer parameter names, set-valued parameter or None, builder);

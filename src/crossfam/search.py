@@ -412,12 +412,15 @@ def maximize(p: SearchProblem) -> SearchResult:
 
 # --- seeded samplers --------------------------------------------------------
 
-def sample_saturated_pair_bits(ctx: LayerContext, rng: random.Random,
-                               max_members: int = 3) -> tuple[int, int]:
+# the samplers draw at most this many k-sets per side before saturating
+_SAMPLE_MEMBERS = 3
+
+
+def sample_saturated_pair_bits(ctx: LayerContext, rng: random.Random) -> tuple[int, int]:
     """A random saturated cross-intersecting pair, as layer bitsets."""
     layer_size = len(ctx.masks)
     for _ in range(200):
-        count = rng.randint(1, max_members)
+        count = rng.randint(1, _SAMPLE_MEMBERS)
         fb = 0
         for i in rng.sample(range(layer_size), count):
             fb |= 1 << i
@@ -427,31 +430,29 @@ def sample_saturated_pair_bits(ctx: LayerContext, rng: random.Random,
         # ranks among cand's set bits: random.sample reads only the population's length
         size = cand.bit_count()
         gb = 0
-        for j in rng.sample(range(size), rng.randint(1, min(max_members, size))):
+        for j in rng.sample(range(size), rng.randint(1, min(_SAMPLE_MEMBERS, size))):
             gb |= 1 << nth_bit(cand, j)
         return ctx.closure(gb)
     raise RuntimeError("could not sample a cross-intersecting pair")
 
 
-def sample_saturated_pair(n: int, k: int, rng: random.Random,
-                          max_members: int = 3) -> tuple[Family, Family]:
+def sample_saturated_pair(n: int, k: int, rng: random.Random) -> tuple[Family, Family]:
     ctx = layer_context(n, k)
-    fb, gb = sample_saturated_pair_bits(ctx, rng, max_members)
+    fb, gb = sample_saturated_pair_bits(ctx, rng)
     return ctx.family_of(fb), ctx.family_of(gb)
 
 
-def sample_saturated_t_family(n: int, k: int, t: int, rng: random.Random,
-                              max_members: int = 3) -> Family:
+def sample_saturated_t_family(n: int, k: int, t: int, rng: random.Random) -> Family:
     """A random saturated t-intersecting k-uniform family.
 
-    After a first k-set, up to max_members - 1 more are drawn, each from the
+    After a first k-set, up to _SAMPLE_MEMBERS - 1 more are drawn, each from the
     bitset (in mask order) of the k-sets meeting all drawn ones in >= t.
     """
     ctx = layer_context(n, k)
     row = t_rows(n, k, t)
     chosen = [rng.choice(ctx.masks)]
     allowed = ctx.full_bits
-    for _ in range(rng.randint(0, max_members - 1)):
+    for _ in range(rng.randint(0, _SAMPLE_MEMBERS - 1)):
         allowed &= row(chosen[-1]) & ~(1 << ctx.index[chosen[-1]])
         size = allowed.bit_count()
         if not size:

@@ -16,7 +16,7 @@ from crossfam.branching import (
     run_branching_cross,
     run_branching_t,
     smallest_branching_level,
-    splice_json,
+    splice_parts,
     verify_window_closure,
 )
 from crossfam.constructions import four_star_pair
@@ -408,8 +408,9 @@ _SPLICE_CASES = {
 
 @pytest.mark.parametrize("obj, key, value", _SPLICE_CASES.values(), ids=_SPLICE_CASES)
 def test_splice_json_matches_json_dumps(obj, key, value):
+    head, tail = splice_parts(obj, key)
     encoded = json.dumps(value, sort_keys=True)
-    assert splice_json(obj, key, encoded) == json.dumps(obj | {key: value}, sort_keys=True)
+    assert head + encoded + tail == json.dumps(obj | {key: value}, sort_keys=True)
 
 
 _JSON_VALUES = st.recursive(
@@ -423,8 +424,9 @@ _JSON_VALUES = st.recursive(
 @given(st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=5), st.text(max_size=4),
        _JSON_VALUES)
 def test_splice_json_property(obj, key, value):
+    head, tail = splice_parts(obj, key)
     encoded = json.dumps(value, sort_keys=True)
-    assert splice_json(obj, key, encoded) == json.dumps(obj | {key: value}, sort_keys=True)
+    assert head + encoded + tail == json.dumps(obj | {key: value}, sort_keys=True)
 
 
 @pytest.mark.parametrize("run", [

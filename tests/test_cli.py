@@ -360,6 +360,13 @@ _UNREAD = "unrecognized arguments"
      "error: star parameter 'T' must be a list of integers in 1..4, got ''"),
     (("construct", "--name", "cross_sperner_54", "--n", "4", "--param", "X=a"),
      "error: cross_sperner_54 parameter 'X' must be a list of integers in 1..4, got 'a'"),
+    # only inequality_grid reads --n and --k
+    (("check", "--name", "oracle_agreement", "--k", "3"),
+     "error: check suite 'oracle_agreement' does not read --k"),
+    (("check", "--name", "oracle_agreement", "--n", "5"),
+     "error: check suite 'oracle_agreement' does not read --n"),
+    (("check", "--name", "branching_conservation", "--n", "5", "--k", "3"),
+     "error: check suite 'branching_conservation' does not read --n or --k"),
 ])
 def test_malformed_cli_input_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -14,7 +14,6 @@ from crossfam.families import (
     is_t_intersecting,
 )
 from crossfam.constructions import (
-    ConstructionSpec,
     construct,
     four_core_pair,
     four_star_pair,
@@ -249,7 +248,7 @@ def test_split_cross_sperner_pair():
 def test_construct_dispatcher_and_spec():
     fam = construct("Ankt", {"n": 5, "k": 2, "t": 1})
     assert fam == window_family(5, 2, 1)
-    pair = ConstructionSpec("prop21_tight", {"n": 4, "k": 2}).build()
+    pair = construct("prop21_tight", {"n": 4, "k": 2})
     assert isinstance(pair, tuple)
     assert construct("star", {"n": 4, "k": 2, "T": [1]}) == star(4, 2, [1])
     with pytest.raises(DomainError, match=r"^unknown construction 'nope'$"):
