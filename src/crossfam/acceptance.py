@@ -44,8 +44,8 @@ from .formulas import check_inequality, eval_formula, inequality_grid
 from .search import (
     SearchProblem,
     all_saturated_pairs,
+    are_isomorphic,
     brute_count,
-    canonical_family_key,
     maximal_t_intersecting_families,
     maximize,
     randomized_check,
@@ -130,59 +130,50 @@ def _c05_corank_matching() -> tuple[bool, str]:
     return True, "nu <= 4 on 2x10^4 saturated pairs; tightness pair attains nu = 4"
 
 
-def _gen_cross_branching_inputs(count: int):
+def _admitted(draw, t: int, count: int) -> list:
+    """The first `count` admissible draws of draw(0), draw(1), ..., draw(100 count - 1),
+    each as (bases, k, r).
+
+    draw(i) gives (bases, k); it is admissible when its driving basis,
+    bases[0], has no set smaller than t + 1 and a smallest branching level r.
+    A basis that cannot be formed raises, and so fails the criterion.
+    """
     out = []
-    i = 0
-    while len(out) < count and i < 100 * count:
-        rng = _trial_rng(SEED + 1, i)
-        n, k = ((7, 2), (8, 3))[i % 2]
-        i += 1
-        f, g = sample_saturated_pair(n, k, rng)
-        try:
-            b1, b2 = basis_pair(f, g)
-        except DomainError:
-            continue
-        if min(m.bit_count() for m in b1.members) < 2:
-            continue
-        r = smallest_branching_level(b1)
-        if r is None:
-            continue
-        out.append((b1, b2, k, r))
+    for i in range(100 * count):
+        if len(out) == count:
+            break
+        bases, k = draw(i)
+        if min(m.bit_count() for m in bases[0].members) > t:
+            r = smallest_branching_level(bases[0], t)
+            if r is not None:
+                out.append((bases, k, r))
     return out
 
 
-def _gen_t_branching_inputs(t: int, count: int):
-    out = []
-    i = 0
-    while len(out) < count and i < 100 * count:
-        rng = _trial_rng(SEED + 2 + t, i)
-        i += 1
-        fam = sample_saturated_t_family(8, 3, t, rng)
-        b = basis_t(fam, t)
-        if min(m.bit_count() for m in b.members) < t + 1:
-            continue
-        r = smallest_branching_level(b, t)
-        if r is None:
-            continue
-        out.append((b, t, 3, r))
-    return out
+def _cross_draw(i: int):
+    n, k = ((7, 2), (8, 3))[i % 2]
+    return basis_pair(*sample_saturated_pair(n, k, _trial_rng(SEED + 1, i))), k
+
+
+def _t_draw(t: int, i: int):
+    return (basis_t(sample_saturated_t_family(8, 3, t, _trial_rng(SEED + 2 + t, i)), t),), 3
 
 
 def _c06_branching() -> tuple[bool, str]:
-    cross_inputs = _gen_cross_branching_inputs(50)
+    cross_inputs = _admitted(_cross_draw, 1, 50)
     if len(cross_inputs) < 50:
         return False, f"only {len(cross_inputs)} admissible cross pairs generated"
-    for b1, b2, k, r in cross_inputs:
+    for (b1, b2), k, r in cross_inputs:
         rep = run_branching_cross(b1, b2, k=k, r=r)
         if rep.total_weight != 1 or not rep.coverage_ok or rep.inequality_lhs > 1:
             return False, "cross branching postcondition failed"
     runs_t = 0
     for t in (1, 2):
-        inputs = _gen_t_branching_inputs(t, 50)
+        inputs = _admitted(partial(_t_draw, t), t, 50)
         if len(inputs) < 50:
             return False, f"only {len(inputs)} admissible t={t} bases generated"
-        for b, tt, k, r in inputs:
-            rep = run_branching_t(b, t=tt, k=k, r=r)
+        for (b,), k, r in inputs:
+            rep = run_branching_t(b, t=t, k=k, r=r)
             if rep.total_weight != 1 or not rep.coverage_ok or rep.inequality_lhs > 1:
                 return False, f"t branching postcondition failed (t={t})"
             runs_t += 1
@@ -255,8 +246,7 @@ def _c11_small_space_optima() -> tuple[bool, str]:
     triangle = triangle_family(6, 2)
     if res.value != 3 or not res.exhaustive:
         return False, f"t-intersecting maximum {res.value} != 3"
-    if canonical_family_key(res.witness.members, 6) != canonical_family_key(
-            triangle.members, 6):
+    if not are_isomorphic(res.witness, triangle):
         return False, "t-intersecting witness is not isomorphic to the triangle"
     return True, "max |I| = 4 for n in {4,5,6} at k=2; t=1 maximum 3 with triangle witness"
 

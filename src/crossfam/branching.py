@@ -292,10 +292,10 @@ def _grow(members: tuple[int, ...], r: int, t: int, rng: random.Random | None,
         frontier = nxt
 
 
-def _finish_report(groups: list, total: Fraction, cover: Family, t: int, k: int, r: int,
-                   strict: bool) -> BranchReport:
-    """Check the survivors' sibling groups, with verified total weight, against
-    cover's levels >= r.
+def _finish_report(groups: list, total: Fraction, cover: Family, t: int, k: int,
+                   r: int) -> BranchReport:
+    """The report on the survivors' sibling groups, with verified total weight,
+    against cover's levels >= r; ``_verified`` raises on a failed check.
 
     Level l weighs 1/floor_d(l) = 1/(C(l, t) l k^(l-t-1)): the floor of a
     level-l survivor, and each level-l member's share of the inequality's
@@ -329,15 +329,17 @@ def _finish_report(groups: list, total: Fraction, cover: Family, t: int, k: int,
     lam = {level: Fraction(len(masks), floor_d(level))
            for level, masks in sorted(cover_levels.items()) if r <= level <= k}
     lhs = sum(lam.values(), Fraction(0))
-    report = BranchReport(groups, total, level_counts, lam, coverage_ok,
-                          weight_bound_ok, lhs)
-    if strict:
-        if not coverage_ok:
-            raise VerificationError("a basis set at level >= r was not covered by a survivor")
-        if not weight_bound_ok:
-            raise VerificationError("a survivor weight fell below its level floor")
-        if lhs > 1:
-            raise VerificationError(f"sum of level weights {lhs} exceeds 1")
+    return BranchReport(groups, total, level_counts, lam, coverage_ok, weight_bound_ok, lhs)
+
+
+def _verified(report: BranchReport) -> BranchReport:
+    """report, after raising VerificationError for the first check it failed."""
+    if not report.coverage_ok:
+        raise VerificationError("a basis set at level >= r was not covered by a survivor")
+    if not report.weight_bound_ok:
+        raise VerificationError("a survivor weight fell below its level floor")
+    if report.inequality_lhs > 1:
+        raise VerificationError(f"sum of level weights {report.inequality_lhs} exceeds 1")
     return report
 
 
@@ -371,7 +373,7 @@ def run_branching_cross(b1: Family, b2: Family, k: int, r: int,
     if not low or not _tau_t_exceeds_t(low, 1):
         raise DomainError(f"hypothesis tau(B1 restricted to sizes <= {r}) >= 2 violated")
 
-    return _finish_report(*_grow(b1.members, r, 1, rng, max_nodes), b2, 1, k, r, strict=True)
+    return _verified(_finish_report(*_grow(b1.members, r, 1, rng, max_nodes), b2, 1, k, r))
 
 
 def run_branching_t(b: Family, t: int, k: int, r: int,
@@ -403,7 +405,7 @@ def run_branching_t(b: Family, t: int, k: int, r: int,
     if not low or not _tau_t_exceeds_t(low, t):
         raise DomainError(f"hypothesis tau_t(B restricted to sizes <= {r}) >= t+1 violated")
 
-    return _finish_report(*_grow(b.members, r, t, rng, max_nodes), b, t, k, r, strict=True)
+    return _verified(_finish_report(*_grow(b.members, r, t, rng, max_nodes), b, t, k, r))
 
 
 def verify_window_closure(b: Family, t: int, n: int, k: int) -> bool:

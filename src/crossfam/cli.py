@@ -199,14 +199,12 @@ def _cmd_branch(args) -> int:
         if len(fams) != 2:
             raise DomainError("cross branching needs a file with two family blocks")
         rep = run_branching_cross(fams[0], fams[1], k=args.k, r=args.r, rng=rng)
-    elif args.name == "t":
+    else:
         if len(fams) != 1:
             raise DomainError("t branching needs a file with one family block")
         if args.t is None:
             raise DomainError("t branching needs --t")
         rep = run_branching_t(fams[0], t=args.t, k=args.k, r=args.r, rng=rng)
-    else:
-        raise DomainError("branch --name must be 'cross' or 't'")
     _emit(_report(args, rep), args.output)
     return 0
 

@@ -53,7 +53,9 @@ from .transversals import LayerContext, has_matching_of_size, layer_context, set
 from . import transversals
 
 _CROSS_LAYER_CAP = 24  # at n = 2k all 2^C(n, k) families are closed
-_ANTICHAIN_MAX_N = 13  # no budget bounds the 4^n-bit incomparability table
+# a relation table is built whatever the budget, so a search refuses one of
+# more bits: 2^n x 2^n for the antichain walk up to n = 13
+_TABLE_BITS_CAP = 4 ** 13
 
 
 @dataclass(frozen=True)
@@ -269,7 +271,21 @@ def _maximize_cross(p: SearchProblem, distinct: bool) -> SearchResult:
     return SearchResult(*_best_pair(ctx, _closed_sets(ctx), distinct, p.budget))
 
 
+def _require_table(size: int, what: str) -> None:
+    """Refuse a size x size relation table of more than _TABLE_BITS_CAP bits."""
+    if size * size > _TABLE_BITS_CAP:
+        raise DomainError(
+            f"{what} builds a {size} x {size} table of {size * size} bits whatever "
+            f"the budget, over the cap of 4^13 = {_TABLE_BITS_CAP} bits")
+
+
 # --- t-intersecting maximizer via maximal cliques --------------------------
+
+def _clique_layer(n: int, k: int) -> LayerContext:
+    """layer_context(n, k), once its C(n, k)^2-bit compatibility table is under the cap."""
+    _require_table(comb(n, k), f"the clique search on the {k}-sets of [{n}]")
+    return layer_context(n, k)
+
 
 def _maximal_cliques(ctx: LayerContext, t: int, budget: int | None):
     """Layer bitsets of maximal t-intersecting subfamilies, node count, completeness.
@@ -311,7 +327,7 @@ def maximal_t_intersecting_families(n: int, k: int, t: int):
 
     Enumerated as maximal cliques of the compatibility graph with pivoting.
     """
-    ctx = layer_context(n, k)
+    ctx = _clique_layer(n, k)
     cliques, nodes, _ = _maximal_cliques(ctx, t, None)
     return [ctx.family_of(rb) for rb in cliques], nodes
 
@@ -319,7 +335,7 @@ def maximal_t_intersecting_families(n: int, k: int, t: int):
 def _maximize_t_intersecting(p: SearchProblem) -> SearchResult:
     if p.k is None or p.t is None:
         raise DomainError("max_I_t_intersecting needs k and t")
-    ctx = layer_context(p.n, p.k)
+    ctx = _clique_layer(p.n, p.k)
     cliques, nodes, complete = _maximal_cliques(
         ctx, p.t, p.budget if p.budget is not None else 10 ** 6)
     keys = map(ctx.masks_of, cliques)
@@ -352,10 +368,7 @@ def _antichains(n: int):
 
 
 def _maximize_antichain(p: SearchProblem) -> SearchResult:
-    if p.n > _ANTICHAIN_MAX_N:
-        raise DomainError(
-            f"antichain search supports n <= {_ANTICHAIN_MAX_N}: its 2^n x 2^n "
-            f"incomparability table is built whatever the budget, got n = {p.n}")
+    _require_table(1 << p.n, f"the antichain search on 2^[{p.n}]")
     if p.n > 5 and p.budget is None:
         raise DomainError(
             "antichain search is exhaustive only for n <= 5; set a budget "

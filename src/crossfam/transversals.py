@@ -388,12 +388,10 @@ def basis_pair(f: Family, g: Family) -> tuple[Family, Family]:
     B(f) consists of the minimal sets among all <=k-sets meeting every
     member of g, and vice versa; the k-sets above B(f) are exactly f.
     """
-    _require_same_ground(f, g)
     k = _uniformity_of_pair(f, g)
     if not f.members or not g.members:
         raise DomainError("basis of a pair with an empty side is undefined")
-    if not is_cross_intersecting(f, g):
-        raise DomainError("input pair is not cross-intersecting")
+    # saturate_pair refuses mismatched ground sets and a pair that does not cross-intersect
     if saturate_pair(f, g) != (f, g):
         raise DomainError("input pair is not saturated")
     b_f = minimal_sets(transversal_family(g, 1, k))

@@ -43,6 +43,14 @@ def pair_t_intersecting(f, t):
     return all(len(a & b) >= t for a in f for b in f)
 
 
+def antichain(f):
+    return not any(a < b for a in f for b in f)
+
+
+def cross_sperner(f, g):
+    return not any(a <= b or b <= a for a in f for b in g)
+
+
 def window_sets(n, k, t):
     w = frozenset(range(1, t + 3))
     return [s for s in ksets(n, k) if len(s & w) >= t + 1]

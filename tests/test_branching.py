@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from crossfam import branching
 from crossfam.branching import (
     _finish_report,
     _grow,
+    _verified,
     run_branching_cross,
     run_branching_t,
     smallest_branching_level,
@@ -294,7 +296,7 @@ def test_seed_surviving_round_zero_matches_oracle(rule):
         run_branching_t(b, t=2, k=4, r=3)
     rng = random.Random("seed-survivor") if rule == "random" else None
     oracle_rng = random.Random("seed-survivor") if rule == "random" else None
-    rep = _finish_report(*_grow(b.members, 3, 2, rng, 10 ** 6), b, 2, 4, 3, strict=False)
+    rep = _finish_report(*_grow(b.members, 3, 2, rng, 10 ** 6), b, 2, 4, 3)
     want = oracle.branching_oracle(_sets(b), _sets(b), 2, 4, 3, oracle_rng)
     assert rep.survivors[0].elements == (1, 2)
     assert rep.survivors[0].weight == Fraction(1, 3)
@@ -334,7 +336,7 @@ def test_coverage_of_each_set_matches_oracle(rule):
         survivor_sets = {frozenset(s["elements"]) for s in want["survivors"]}
         for l in range(r, k + 1):
             for c in combinations(range(1, n + 1), l):
-                rep = _finish_report(*grown, fam([c], n), t, k, r, strict=False)
+                rep = _finish_report(*grown, fam([c], n), t, k, r)
                 assert rep.coverage_ok == (frozenset(c) in survivor_sets), (name, c)
                 seen[rep.coverage_ok] += 1
     assert all(seen.values()), seen
@@ -345,8 +347,27 @@ def test_coverage_reads_every_group_of_a_prefix_set():
     # survivor's set only through the second group's y = 3
     groups = [((1, 2), 4, (), [4]), ((2, 1), 4, (), [3])]
     for cover, covered in (([(1, 2, 3)], True), ([(1, 2, 4)], True), ([(1, 3, 4)], False)):
-        rep = _finish_report(groups, Fraction(1, 2), fam(cover, 4), 1, 3, 3, strict=False)
+        rep = _finish_report(groups, Fraction(1, 2), fam(cover, 4), 1, 3, 3)
         assert rep.coverage_ok == covered, cover
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("coverage_ok", False, "a basis set at level >= r was not covered by a survivor"),
+    ("weight_bound_ok", False, "a survivor weight fell below its level floor"),
+    ("inequality_lhs", Fraction(3, 2), "sum of level weights 3/2 exceeds 1"),
+])
+def test_runners_raise_for_each_failed_report_check(monkeypatch, field, value, message):
+    good = run_branching_cross(CYCLE, MATCHING, k=3, r=2)
+    assert _verified(good) is good
+    bad = replace(good, **{field: value})
+    with pytest.raises(VerificationError, match=message):
+        _verified(bad)
+    # both runners send what _finish_report builds through _verified
+    monkeypatch.setattr(branching, "_finish_report", lambda *args: bad)
+    with pytest.raises(VerificationError, match=message):
+        run_branching_cross(CYCLE, MATCHING, k=3, r=2)
+    with pytest.raises(VerificationError, match=message):
+        run_branching_t(TRIANGLE6, t=1, k=3, r=2)
 
 
 @pytest.mark.parametrize("rule", ["det", "random"])

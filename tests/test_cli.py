@@ -2,7 +2,9 @@ import hashlib
 import json
 import random
 import re
+import time
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -285,12 +287,28 @@ def test_branch_csv_and_text_use_dict_form(capsys, tmp_path):
     ("--objective", "cross_sperner", "--n", "24"),
     ("--objective", "I_antichain", "--n", "14", "--budget", "10"),
     ("--objective", "I_antichain", "--n", "40", "--budget", "10"),
+    # refused before the layer or its C(n,k)^2-bit compatibility table is built
+    ("--objective", "I_t_intersecting", "--n", "30", "--k", "5", "--t", "1"),
+    ("--objective", "I_t_intersecting", "--n", "40", "--k", "20", "--t", "1"),
 ])
 def test_search_bad_budget_or_size_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, "search", *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, bits", [
+    (("I_t_intersecting", "--n", "30", "--k", "5", "--t", "1"), comb(30, 5) ** 2),
+    (("I_t_intersecting", "--n", "40", "--k", "20", "--t", "1"), comb(40, 20) ** 2),
+    (("I_antichain", "--n", "14", "--budget", "10"), 4 ** 14),
+])
+def test_oversized_table_is_refused_at_once_with_its_estimate(capsys, argv, bits):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "search", "--objective", *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert f"table of {bits} bits" in err and f"4^13 = {4 ** 13} bits" in err
 
 
 def test_antichain_budget_bounds_the_run_at_n_13(capsys):

@@ -137,6 +137,27 @@ def test_cross_sperner_predicate():
     assert not is_cross_sperner(a, fam([(1, 2, 3)], 4))
 
 
+@st.composite
+def family_pair(draw):
+    """Two families on one [n], n <= 8, either possibly empty; g may reuse members of f."""
+    n = draw(st.integers(1, 8))
+    mask = st.integers(0, (1 << n) - 1)
+    f = draw(st.lists(mask, max_size=8))
+    g = draw(st.lists(st.sampled_from(f) | mask if f else mask, max_size=8))
+    return Family.from_masks(f, GroundSet(n)), Family.from_masks(g, GroundSet(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_pair(), st.integers(1, 4))
+def test_pair_predicates_match_the_oracle(pair, t):
+    f, g = pair
+    fs, gs = as_frozensets(f), as_frozensets(g)
+    assert is_cross_intersecting(f, g) == oracle.cross_intersecting(fs, gs)
+    assert is_t_intersecting(f, t) == oracle.pair_t_intersecting(fs, t)
+    assert is_antichain(f) == oracle.antichain(fs)
+    assert is_cross_sperner(f, g) == oracle.cross_sperner(fs, gs)
+
+
 def test_shade_examples():
     f = fam([(1,)], 3, k=1)
     assert shade(f).sets() == ((1, 2), (1, 3))

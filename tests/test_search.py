@@ -162,6 +162,12 @@ def test_maximal_clique_counts():
     assert sizes == [3, 5]
 
 
+def test_clique_layer_over_the_table_cap_is_refused():
+    # C(30, 5)^2 bits: refused before the layer is listed
+    with pytest.raises(DomainError, match=f"table of {comb(30, 5) ** 2} bits"):
+        maximal_t_intersecting_families(30, 5, 1)
+
+
 def test_maximal_cliques_of_large_k_layers():
     # 24-sets of [26] share >= 23 elements iff their complement pairs meet:
     # 26 stars of 25 complements and C(26, 3) triangles

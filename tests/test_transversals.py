@@ -318,6 +318,26 @@ def test_basis_pair_rejects_unsaturated():
         basis_pair(f0, g0)
 
 
+@pytest.mark.parametrize("f, g, message", [
+    (star(6, 2, [1]), star(7, 2, [1]), "mismatched ground sets: n=6 vs n=7"),
+    (star(6, 2, [1]), star(6, 3, [1]), "two k-uniform families with the same k"),
+    (fam([], 6, k=2), star(6, 2, [1]), "an empty side"),
+    (fam([(1, 2)], 6, k=2), fam([(3, 4)], 6, k=2), "input pair is not cross-intersecting"),
+    (fam([(1, 2)], 6, k=2), fam([(1, 3)], 6, k=2), "input pair is not saturated"),
+])
+def test_basis_pair_names_the_one_broken_hypothesis(f, g, message):
+    with pytest.raises(DomainError, match=message):
+        basis_pair(f, g)
+
+
+def test_basis_pair_refuses_bases_that_do_not_cross_intersect():
+    # every two 3-sets of [4] meet, and every 2-set meets every 3-set, so
+    # both bases are all six 2-sets, and {1,2} misses {3,4}
+    layer = full_layer(GroundSet(4), 3)
+    with pytest.raises(VerificationError, match="basis pair is not cross-intersecting"):
+        basis_pair(layer, layer)
+
+
 def test_basis_t_examples():
     a3 = window_family(8, 3, 1)
     b = basis_t(a3, 1)
