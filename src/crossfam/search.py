@@ -435,7 +435,7 @@ def sample_saturated_pair_bits(ctx: LayerContext, rng: random.Random) -> tuple[i
     for _ in range(200):
         count = rng.randint(1, _SAMPLE_MEMBERS)
         fb = 0
-        for i in rng.sample(range(layer_size), count):
+        for i in rng.sample(range(layer_size), min(count, layer_size)):
             fb |= 1 << i
         cand = ctx.meet_all(fb)
         if not cand:

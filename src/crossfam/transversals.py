@@ -7,6 +7,8 @@ for every k-set, the bitset of k-sets meeting it, so that "all k-sets
 meeting every member of G" is a handful of big-integer ANDs.  Saturation
 of t-intersecting families ORs the layer bitsets ``sets_above(n, k, t)`` of
 a member's t-subsets, C(n, t) * C(n, k) bits: under 100 KB at every layer run.
+Bases skip every set with a k-superset outside the saturated family, read off
+the columns ``sets_above(n, k, 1)``; they need n >= 2k - 1 (pair) or 2k - t.
 """
 
 from __future__ import annotations
@@ -382,20 +384,53 @@ def saturate_t(f: Family, t: int) -> Family:
     return ctx.family_of(fb)
 
 
+def _minimal_transversals(ctx: LayerContext, fb: int, members, t: int) -> Family:
+    """The minimal sets S, t <= |S| <= k, sharing >= t with each of `members`.
+
+    fb is the layer bitset of the saturated family these sets generate, T(G) or
+    the t-family itself, so every k-set above such an S is in fb: S is skipped
+    when the AND of its columns sets_above(n, k, 1) meets a k-set outside fb.
+    From n >= 2k - t + 1 on, a set sharing < t with a member m has a k-superset
+    that still does (filled from outside m and t - 1 - |S & m| elements of m),
+    so the skip is the whole test and the direct one passes once per basis set;
+    below, the direct test decides.
+    """
+    n, k = ctx.ground.n, ctx.k
+    cols = sets_above(n, k, 1)
+    miss = ctx.full_bits & ~fb
+    found: list[int] = []
+    for size in range(t, k + 1):
+        for combo in combinations(_bits((1 << n) - 1), size):
+            if miss & reduce(and_, map(cols.__getitem__, combo)):
+                continue
+            s = sum(combo)
+            if any(b & s == b for b in found):
+                continue
+            if all((s & m).bit_count() >= t for m in members):
+                found.append(s)
+    return Family.from_masks(found, ctx.ground)
+
+
 def basis_pair(f: Family, g: Family) -> tuple[Family, Family]:
     """Minimal transversal bases (B(f), B(g)) of a saturated pair.
 
     B(f) consists of the minimal sets among all <=k-sets meeting every
     member of g, and vice versa; the k-sets above B(f) are exactly f.
+    Needs n >= 2k - 1: below it any two k-sets meet, the one saturated pair
+    is (layer, layer), and its bases, the (n - k + 1)-sets, do not cross-intersect.
     """
     k = _uniformity_of_pair(f, g)
+    n = f.ground.n
+    if n < 2 * k - 1:
+        raise DomainError(f"basis_pair needs n >= 2k - 1, got n={n} k={k}")
     if not f.members or not g.members:
         raise DomainError("basis of a pair with an empty side is undefined")
     # saturate_pair refuses mismatched ground sets and a pair that does not cross-intersect
     if saturate_pair(f, g) != (f, g):
         raise DomainError("input pair is not saturated")
-    b_f = minimal_sets(transversal_family(g, 1, k))
-    b_g = minimal_sets(transversal_family(f, 1, k))
+    ctx = layer_context(n, k)
+    b_f = _minimal_transversals(ctx, ctx.bits_of(f.members), g.members, 1)
+    b_g = _minimal_transversals(ctx, ctx.bits_of(g.members), f.members, 1)
     for b, src in ((b_f, f), (b_g, g)):
         if not is_antichain(b):
             raise VerificationError("basis is not an antichain")
@@ -407,13 +442,31 @@ def basis_pair(f: Family, g: Family) -> tuple[Family, Family]:
 
 
 def basis_t(f: Family, t: int) -> Family:
-    """Minimal t-transversal basis of a saturated t-intersecting family."""
+    """Minimal t-transversal basis of a saturated t-intersecting family.
+
+    The AND of the members' t_rows is the set of k-sets sharing >= t with every
+    member: f is t-intersecting iff it lies inside, and saturated iff it is all of it.
+    Needs n >= 2k - t: below it any two k-sets share more than t, the one saturated
+    family is the layer, and its basis, the (n - k + t)-sets, is not t-intersecting.
+    """
     k = f.uniformity if f.uniformity is not None else f.infer_uniformity()
     if k is None:
         raise DomainError("basis_t needs a k-uniform family")
-    if saturate_t(f, t) != f:
+    if not f.members:
+        raise DomainError("saturate_t of the empty family is undefined")
+    if t < 1:
+        raise DomainError(f"t must be >= 1, got {t}")
+    n = f.ground.n
+    ctx = layer_context(n, k)
+    fb = ctx.bits_of(f.members)
+    common = reduce(and_, map(t_rows(n, k, t), f.members))
+    if fb & ~common:
+        raise DomainError("input family is not t-intersecting")
+    if common & ~fb:
         raise DomainError("input family is not saturated")
-    b = minimal_sets(transversal_family(f, t, k))
+    if n < 2 * k - t:
+        raise DomainError(f"basis_t needs n >= 2k - t, got n={n} k={k} t={t}")
+    b = _minimal_transversals(ctx, fb, f.members, t)
     if not is_antichain(b) or not is_t_intersecting(b, t):
         raise VerificationError("basis is not a t-intersecting antichain")
     if upward_closure(b, k) != f:

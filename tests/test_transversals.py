@@ -4,7 +4,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossfam import transversals
@@ -20,6 +20,7 @@ from crossfam.families import (
     is_t_intersecting,
 )
 from crossfam.constructions import four_core_pair, four_star_pair, star, triangle_family, window_family
+from crossfam.search import sample_saturated_pair, sample_saturated_t_family
 from crossfam.transversals import (
     basis_pair,
     basis_t,
@@ -332,10 +333,12 @@ def test_basis_pair_names_the_one_broken_hypothesis(f, g, message):
 
 def test_basis_pair_refuses_bases_that_do_not_cross_intersect():
     # every two 3-sets of [4] meet, and every 2-set meets every 3-set, so
-    # both bases are all six 2-sets, and {1,2} misses {3,4}
+    # both bases would be all six 2-sets, and {1,2} misses {3,4}: at n <= 2k - 2
+    # this holds for every saturated pair, so the hypothesis n >= 2k - 1 refuses it
     layer = full_layer(GroundSet(4), 3)
-    with pytest.raises(VerificationError, match="basis pair is not cross-intersecting"):
+    with pytest.raises(DomainError) as info:
         basis_pair(layer, layer)
+    assert str(info.value) == "basis_pair needs n >= 2k - 1, got n=4 k=3"
 
 
 def test_basis_t_examples():
@@ -348,6 +351,94 @@ def test_basis_t_examples():
     assert covering_number(a3, 1) == min(m.bit_count() for m in b.members)
     with pytest.raises(DomainError):
         basis_t(fam([(1, 2, 3)], 8, k=3), 1)
+
+
+@pytest.mark.parametrize("f, t, message", [
+    (fam([(1, 2), (1, 2, 3)], 6), 1, "basis_t needs a k-uniform family"),
+    (Family.empty(GroundSet(6)), 1, "basis_t needs a k-uniform family"),
+    (fam([], 6, k=2), 1, "saturate_t of the empty family is undefined"),
+    (star(6, 2, [1]), 0, "t must be >= 1, got 0"),
+    (fam([(1, 2), (3, 4)], 6, k=2), 1, "input family is not t-intersecting"),
+    (fam([(1, 2)], 6, k=2), 3, "input family is not t-intersecting"),
+    (fam([(1, 2, 3)], 8, k=3), 1, "input family is not saturated"),
+    (star(6, 3, [1, 2]), 1, "input family is not saturated"),
+    (full_layer(GroundSet(4), 3), 1, "basis_t needs n >= 2k - t, got n=4 k=3 t=1"),
+])
+def test_basis_t_names_the_one_broken_hypothesis(f, t, message):
+    with pytest.raises(DomainError) as info:
+        basis_t(f, t)
+    assert str(info.value) == message
+
+
+def _oracle_basis(member_sets, t, k, n):
+    found = oracle.transversals_upto(member_sets, t, k, n)
+    return {s for s in found if not any(o < s for o in found)}
+
+
+def _as_sets(f):
+    return {frozenset(s) for s in f.sets()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 10 ** 6))
+@example(k=3, extra=0, seed=0)  # (5, 3): the one saturated pair is (layer, layer)
+@example(k=4, extra=0, seed=1)
+@example(k=1, extra=0, seed=0)  # (1, 1): a layer of one set, fewer than the sampler's draw
+def test_basis_pair_matches_the_oracle(k, extra, seed):
+    n = min(9, 2 * k - 1 + extra)
+    f, g = sample_saturated_pair(n, k, random.Random(seed))
+    b_f, b_g = basis_pair(f, g)
+    assert _as_sets(b_f) == _oracle_basis(_as_sets(g), 1, k, n)
+    assert _as_sets(b_g) == _oracle_basis(_as_sets(f), 1, k, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2), st.integers(0, 5), st.integers(0, 10 ** 6))
+@example(t=1, dk=2, dn=0, seed=0)  # (3, 3, 1): the family is one k-set
+@example(t=1, dk=2, dn=2, seed=3)  # n = 2k - t: the one saturated family is the layer
+@example(t=2, dk=2, dn=2, seed=5)
+@example(t=3, dk=2, dn=2, seed=7)
+def test_basis_t_matches_the_oracle(t, dk, dn, seed):
+    k = t + dk
+    n = min(9, k + dn)
+    f = sample_saturated_t_family(n, k, t, random.Random(seed))
+    if n < 2 * k - t:
+        with pytest.raises(DomainError) as info:
+            basis_t(f, t)
+        assert str(info.value) == f"basis_t needs n >= 2k - t, got n={n} k={k} t={t}"
+        return
+    assert _as_sets(basis_t(f, t)) == _oracle_basis(_as_sets(f), t, k, n)
+
+
+@pytest.mark.parametrize("call, wrong, message", [
+    # {1} and {1, 2}: the star above them is right, but {1} lies inside {1, 2}
+    (lambda: basis_pair(star(6, 2, [1]), star(6, 2, [1])),
+     lambda right: Family.from_masks(right.members + (0b11,), right.ground),
+     "basis is not an antichain"),
+    (lambda: basis_pair(star(6, 2, [1]), star(6, 2, [1])),
+     lambda right: fam([(2,)], 6),
+     "upward closure of basis does not recover the family"),
+    # the 2-sets of [5] generate the 3-layer too, but {1, 2} misses {3, 4}
+    (lambda: basis_pair(full_layer(GroundSet(5), 3), full_layer(GroundSet(5), 3)),
+     lambda right: Family.from_masks(full_layer(GroundSet(5), 2).members, GroundSet(5)),
+     "basis pair is not cross-intersecting"),
+    (lambda: basis_t(window_family(8, 3, 1), 1),
+     lambda right: Family.from_masks(right.members + (0b111,), right.ground),
+     "basis is not a t-intersecting antichain"),
+    (lambda: basis_t(window_family(8, 3, 1), 1),
+     lambda right: fam([(1, 2), (3, 4)], 8),
+     "basis is not a t-intersecting antichain"),
+    (lambda: basis_t(window_family(8, 3, 1), 1),
+     lambda right: fam([(1, 2), (1, 3)], 8),
+     "upward closure of basis does not recover the family"),
+])
+def test_each_wrong_basis_fails_its_own_check(monkeypatch, call, wrong, message):
+    right = transversals._minimal_transversals
+    monkeypatch.setattr(transversals, "_minimal_transversals",
+                        lambda *args: wrong(right(*args)))
+    with pytest.raises(VerificationError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_basis_t_of_fixed_core_star():
