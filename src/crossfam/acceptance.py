@@ -163,19 +163,16 @@ def _c06_branching() -> tuple[bool, str]:
     cross_inputs = _admitted(_cross_draw, 1, 50)
     if len(cross_inputs) < 50:
         return False, f"only {len(cross_inputs)} admissible cross pairs generated"
+    # the runners raise VerificationError unless weight 1, coverage and sum <= 1 hold
     for (b1, b2), k, r in cross_inputs:
-        rep = run_branching_cross(b1, b2, k=k, r=r)
-        if rep.total_weight != 1 or not rep.coverage_ok or rep.inequality_lhs > 1:
-            return False, "cross branching postcondition failed"
+        run_branching_cross(b1, b2, k=k, r=r)
     runs_t = 0
     for t in (1, 2):
         inputs = _admitted(partial(_t_draw, t), t, 50)
         if len(inputs) < 50:
             return False, f"only {len(inputs)} admissible t={t} bases generated"
         for (b,), k, r in inputs:
-            rep = run_branching_t(b, t=t, k=k, r=r)
-            if rep.total_weight != 1 or not rep.coverage_ok or rep.inequality_lhs > 1:
-                return False, f"t branching postcondition failed (t={t})"
+            run_branching_t(b, t=t, k=k, r=r)
             runs_t += 1
     return True, f"weight 1, coverage, and sum <= 1 on 50 cross runs and {runs_t} t runs"
 
@@ -251,24 +248,16 @@ def _c11_small_space_optima() -> tuple[bool, str]:
     return True, "max |I| = 4 for n in {4,5,6} at k=2; t=1 maximum 3 with triangle witness"
 
 
-def _all_intersecting_families(n: int) -> list[tuple[int, ...]]:
-    """Every intersecting 2-uniform family on [n], via maximal cliques."""
-    fams, _ = maximal_t_intersecting_families(n, 2, 1)
-    seen: set[tuple[int, ...]] = set()
-    for fam in fams:
-        ms = fam.members
-        for bits in range(1, 1 << len(ms)):
-            seen.add(tuple(ms[i] for i in range(len(ms)) if bits >> i & 1))
-    return sorted(seen)
-
-
 def _c12_cited_bounds() -> tuple[bool, str]:
     # exhaustive at k = 2 for 2k <= n <= 7, each bound inside its hypotheses
     for n in range(4, 8):
         ekr = comb(n - 1, 1)
         hm = eval_formula("hm_bound", n=n, k=2) if n > 4 else None
         full = GroundSet(n).full_mask
-        for ms in _all_intersecting_families(n):
+        # the maximal families decide EKR and HM for all: every intersecting family
+        # lies in a maximal one, which is no smaller, and whose common meet lies in
+        # the family's, so it is non-trivial (meet 0) when the family is
+        for ms in (fam.members for fam in maximal_t_intersecting_families(n, 2, 1)[0]):
             if len(ms) > ekr:
                 return False, f"EKR fails at n={n}: {len(ms)} sets"
             if hm is not None:

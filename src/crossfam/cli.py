@@ -188,6 +188,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_branch(args) -> int:
+    if args.name == "cross" and args.t is not None:
+        raise DomainError("cross branching does not read --t")
     try:
         with open(args.input, encoding="utf-8") as fh:
             text = fh.read()

@@ -509,17 +509,6 @@ class CheckReport:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "property": self.property,
-            "params": self.params,
-            "trials": self.trials,
-            "failures": self.failures,
-            "first_counterexample": self.first_counterexample,
-            "exhaustive": self.exhaustive,
-            "passed": self.passed,
-        }
-
 
 def realized_corank1_layer(ctx: LayerContext, fb: int, gb: int) -> list[int]:
     """Masks of the (k-1)-sets realized as intersections of distinct members.

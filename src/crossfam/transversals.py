@@ -7,6 +7,8 @@ for every k-set, the bitset of k-sets meeting it, so that "all k-sets
 meeting every member of G" is a handful of big-integer ANDs.  Saturation
 of t-intersecting families ORs the layer bitsets ``sets_above(n, k, t)`` of
 a member's t-subsets, C(n, t) * C(n, k) bits: under 100 KB at every layer run.
+Each hypothesis is decided on these bitsets: (F, G) cross-intersects iff F lies
+in T(G), and f is t-intersecting iff it lies in the AND of its members' rows.
 Bases skip every set with a k-superset outside the saturated family, read off
 the columns ``sets_above(n, k, 1)``; they need n >= 2k - 1 (pair) or 2k - t.
 """
@@ -343,11 +345,28 @@ def saturate_pair(f: Family, g: Family) -> tuple[Family, Family]:
     """
     _require_same_ground(f, g)
     k = _uniformity_of_pair(f, g)
-    if not is_cross_intersecting(f, g):
-        raise DomainError("input pair is not cross-intersecting")
     ctx = layer_context(f.ground.n, k)
     fb, gb = ctx.closure(ctx.bits_of(g.members))
+    if ctx.bits_of(f.members) & ~fb:  # f inside T(g) iff the pair cross-intersects
+        raise DomainError("input pair is not cross-intersecting")
     return ctx.family_of(fb), ctx.family_of(gb)
+
+
+def _t_layer(f: Family, t: int, who: str) -> tuple[LayerContext, int, int]:
+    """(context, bits of f, AND of its members' t_rows); f is t-intersecting iff inside the AND."""
+    k = f.uniformity if f.uniformity is not None else f.infer_uniformity()
+    if k is None:
+        raise DomainError(f"{who} needs a k-uniform family")
+    if not f.members:
+        raise DomainError("saturate_t of the empty family is undefined")
+    if t < 1:
+        raise DomainError(f"t must be >= 1, got {t}")
+    ctx = layer_context(f.ground.n, k)
+    fb = ctx.bits_of(f.members)
+    common = reduce(and_, map(t_rows(f.ground.n, k, t), f.members))
+    if fb & ~common:
+        raise DomainError("input family is not t-intersecting")
+    return ctx, fb, common
 
 
 def saturate_t(f: Family, t: int) -> Family:
@@ -361,17 +380,9 @@ def saturate_t(f: Family, t: int) -> Family:
     outside the family.  A row that came out wrong for an input member then
     still shows.
     """
-    k = f.uniformity if f.uniformity is not None else f.infer_uniformity()
-    if k is None:
-        raise DomainError("saturate_t needs a k-uniform family")
-    if not f.members:
-        raise DomainError("saturate_t of the empty family is undefined")
-    if not is_t_intersecting(f, t):
-        raise DomainError("input family is not t-intersecting")
-    ctx = layer_context(f.ground.n, k)
-    row = t_rows(f.ground.n, k, t)
-    fb = ctx.bits_of(f.members)
-    cand = reduce(and_, map(row, f.members)) & ~fb
+    ctx, fb, common = _t_layer(f, t, "saturate_t")
+    row = t_rows(f.ground.n, ctx.k, t)
+    cand = common & ~fb
     added = ctx.full_bits
     while cand:
         low = cand & -cand
@@ -449,19 +460,8 @@ def basis_t(f: Family, t: int) -> Family:
     Needs n >= 2k - t: below it any two k-sets share more than t, the one saturated
     family is the layer, and its basis, the (n - k + t)-sets, is not t-intersecting.
     """
-    k = f.uniformity if f.uniformity is not None else f.infer_uniformity()
-    if k is None:
-        raise DomainError("basis_t needs a k-uniform family")
-    if not f.members:
-        raise DomainError("saturate_t of the empty family is undefined")
-    if t < 1:
-        raise DomainError(f"t must be >= 1, got {t}")
-    n = f.ground.n
-    ctx = layer_context(n, k)
-    fb = ctx.bits_of(f.members)
-    common = reduce(and_, map(t_rows(n, k, t), f.members))
-    if fb & ~common:
-        raise DomainError("input family is not t-intersecting")
+    ctx, fb, common = _t_layer(f, t, "basis_t")
+    n, k = f.ground.n, ctx.k
     if common & ~fb:
         raise DomainError("input family is not saturated")
     if n < 2 * k - t:

@@ -355,6 +355,8 @@ _UNREAD = "unrecognized arguments"
       "--budget", "5"), _UNREAD),
     (("eval", "--id", "binom", "--n", "6", "--k", "3", "--budget", "5"), _UNREAD),
     (("check", "--name", "oracle_agreement", "--t", "1"), _UNREAD),
+    (("branch", "--name", "cross", "--input", "bases.fam", "--k", "3", "--r", "2", "--t", "2"),
+     "error: cross branching does not read --t"),
     # no flag is taken from a prefix of its name
     (("search", "--objective", "I_cross", "--n", "5", "--k", "2", "--bud", "3"),
      "unrecognized arguments: --bud 3"),
@@ -559,6 +561,8 @@ GOLDEN_REPORTS = [
      "6af3deed26b130dfc90b180c79fb1757944ec2fb998d7ead3d33d8e7647f3a34"),
     ("verify-all --criteria 8,9,10,11",
      "eeac513163946792a29f40113b06d356af0ad0ad2b42c365f62fb6bedc94eb1a"),
+    ("verify-all --criteria 6,12",
+     "c3e80c9c6b541232e40633b0daf5ba313ff401144aa2fbd40d7f346f1e1f2ad5"),
 ]
 
 

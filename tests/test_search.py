@@ -388,7 +388,7 @@ def test_randomized_checks_pass():
 def test_randomized_check_determinism():
     a = randomized_check("prop21_nu_le4", {"n": 8, "k": 2}, 100, 42)
     b = randomized_check("prop21_nu_le4", {"n": 8, "k": 2}, 100, 42)
-    assert a.to_json_dict() == b.to_json_dict()
+    assert a == b
 
 
 def test_all_saturated_pairs_small():

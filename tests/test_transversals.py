@@ -168,6 +168,67 @@ def test_saturate_t_examples():
         saturate_t(fam([(1, 2), (3, 4)], 6, k=2), 1)
 
 
+@pytest.mark.parametrize("saturate, args, message", [
+    (saturate_pair, (star(6, 2, [1]), star(7, 2, [1])), "mismatched ground sets: n=6 vs n=7"),
+    # a mismatched ground is named before the mixed k and the missing intersection
+    (saturate_pair, (fam([(1, 2)], 6, k=2), fam([(3, 4, 5)], 7, k=3)),
+     "mismatched ground sets: n=6 vs n=7"),
+    (saturate_pair, (star(6, 2, [1]), star(6, 3, [1])),
+     "saturation needs two k-uniform families with the same k"),
+    (saturate_pair, (fam([(1, 2), (1, 2, 3)], 6), star(6, 2, [1])),
+     "saturation needs two k-uniform families with the same k"),
+    (saturate_pair, (Family.empty(GroundSet(6)), star(6, 2, [1])),
+     "saturation needs two k-uniform families with the same k"),
+    (saturate_pair, (fam([(1, 2)], 6, k=2), fam([(3, 4)], 6, k=2)),
+     "input pair is not cross-intersecting"),
+    (saturate_pair, (star(6, 2, [1]), fam([(2, 3), (4, 5)], 6, k=2)),
+     "input pair is not cross-intersecting"),
+    (saturate_t, (fam([(1, 2), (1, 2, 3)], 6), 1), "saturate_t needs a k-uniform family"),
+    (saturate_t, (fam([(1, 2), (1, 2, 3)], 6), 0), "saturate_t needs a k-uniform family"),
+    (saturate_t, (Family.empty(GroundSet(6)), 1), "saturate_t needs a k-uniform family"),
+    (saturate_t, (fam([], 6, k=2), 1), "saturate_t of the empty family is undefined"),
+    (saturate_t, (fam([], 6, k=2), 0), "saturate_t of the empty family is undefined"),
+    (saturate_t, (star(6, 2, [1]), 0), "t must be >= 1, got 0"),
+    (saturate_t, (fam([(1, 2), (3, 4)], 6, k=2), 0), "t must be >= 1, got 0"),
+    (saturate_t, (fam([(1, 2)], 6, k=2), 3), "input family is not t-intersecting"),
+    (saturate_t, (fam([(1, 2), (3, 4)], 6, k=2), 1), "input family is not t-intersecting"),
+    (saturate_t, (fam([(1, 2, 3), (1, 4, 5)], 6, k=3), 2), "input family is not t-intersecting"),
+])
+def test_saturation_names_the_one_broken_hypothesis(saturate, args, message):
+    with pytest.raises(DomainError) as info:
+        saturate(*args)
+    assert str(info.value) == message
+
+
+@st.composite
+def layer_families(draw):
+    """Two subfamilies of one k-layer of [n], n <= 8, the first non-empty."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(0, n))
+    member = st.sampled_from(full_layer(GroundSet(n), k).members)
+    f = draw(st.lists(member, min_size=1, max_size=6))
+    g = draw(st.lists(member, max_size=6))
+    return Family.from_masks(f, GroundSet(n), k), Family.from_masks(g, GroundSet(n), k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(layer_families(), st.integers(1, 4))
+def test_saturation_refuses_exactly_what_the_pair_loops_refuse(pair, t):
+    # the pair-loop predicates of families are the oracles for the two refusals
+    f, g = pair
+    for holds, saturate, message in (
+            (is_cross_intersecting(f, g), lambda: saturate_pair(f, g),
+             "input pair is not cross-intersecting"),
+            (is_t_intersecting(f, t), lambda: saturate_t(f, t),
+             "input family is not t-intersecting")):
+        if holds:
+            saturate()
+        else:
+            with pytest.raises(DomainError) as info:
+                saturate()
+            assert str(info.value) == message
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_saturate_t_output_is_maximal(seed):
