@@ -355,8 +355,6 @@ _UNREAD = "unrecognized arguments"
       "--budget", "5"), _UNREAD),
     (("eval", "--id", "binom", "--n", "6", "--k", "3", "--budget", "5"), _UNREAD),
     (("check", "--name", "oracle_agreement", "--t", "1"), _UNREAD),
-    (("branch", "--name", "cross", "--input", "bases.fam", "--k", "3", "--r", "2", "--t", "2"),
-     "error: cross branching does not read --t"),
     # no flag is taken from a prefix of its name
     (("search", "--objective", "I_cross", "--n", "5", "--k", "2", "--bud", "3"),
      "unrecognized arguments: --bud 3"),
@@ -387,6 +385,9 @@ _UNREAD = "unrecognized arguments"
      "error: check suite 'oracle_agreement' does not read --n"),
     (("check", "--name", "branching_conservation", "--n", "5", "--k", "3"),
      "error: check suite 'branching_conservation' does not read --n or --k"),
+    # cross branching takes no --t
+    (("branch", "--name", "cross", "--input", "bases.fam", "--k", "3", "--r", "2", "--t", "2"),
+     "error: cross branching does not read --t"),
 ])
 def test_malformed_cli_input_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
