@@ -26,12 +26,6 @@ from .formulas import FORMULA_IDS, eval_formula, inequality_grid
 from .search import OBJECTIVES, SearchProblem, maximize
 import random
 
-_CHECK_SUITES = {
-    "inequality_grid": None,  # handled inline
-    "oracle_agreement": (1, 2, 3, 4),
-    "branching_conservation": (6,),
-}
-
 
 def _resolve_formula_id(raw: str) -> str:
     if raw in FORMULA_IDS:
@@ -75,7 +69,7 @@ def _emit(chunks: Iterable[str], output: str | None) -> None:
 
 
 def _report(args, result) -> Iterable[str]:
-    """The report text of result, a JSON-able value or a BranchReport, in chunks."""
+    """The report text of result (a dict, a list of dicts or a BranchReport), in chunks."""
     envelope = {
         "command": args.command,
         "version": __version__,
@@ -98,8 +92,6 @@ def _report(args, result) -> Iterable[str]:
         return [json.dumps(envelope, sort_keys=True) + "\n"]
     if args.format == "csv":
         rows = result if isinstance(result, list) else [result]
-        if not rows or not isinstance(rows[0], dict):
-            rows = [{"value": r} for r in rows]
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=sorted(rows[0].keys()))
         writer.writeheader()
@@ -142,33 +134,48 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _criterion_row(r: acceptance.CriterionResult) -> dict:
+    return {"criterion": r.index, "name": r.name, "passed": r.passed, "detail": r.detail}
+
+
+def _inequality_grid_suite(args) -> tuple[dict, bool]:
+    rep = inequality_grid(200 if args.n is None else args.n, 20 if args.k is None else args.k)
+    return {
+        "suite": "inequality_grid",
+        "checked": rep["checked"],
+        "total_checked": rep["total_checked"],
+        "mode": rep["mode"],
+        "passed": rep["all_passed"],
+        "failures": [list(f) for f in rep["failures"]],
+    }, rep["all_passed"]
+
+
+def _criteria_suite(indices: tuple[int, ...]):
+    def run(args) -> tuple[list[dict], bool]:
+        unread = [flag for flag in ("--n", "--k") if getattr(args, flag[2:]) is not None]
+        if unread:
+            raise DomainError(f"check suite {args.name!r} does not read {' or '.join(unread)}")
+        results = acceptance.run_all(indices)
+        return [_criterion_row(r) for r in results], all(r.passed for r in results)
+    return run
+
+
+# suite name -> callable from the parsed arguments to (report payload, passed)
+_CHECK_SUITES = {
+    "inequality_grid": _inequality_grid_suite,
+    "oracle_agreement": _criteria_suite((1, 2, 3, 4)),
+    "branching_conservation": _criteria_suite((6,)),
+}
+
+
 def _cmd_check(args) -> int:
-    if args.name == "inequality_grid":
-        rep = inequality_grid(200 if args.n is None else args.n, 20 if args.k is None else args.k)
-        result = {
-            "suite": "inequality_grid",
-            "checked": rep["checked"],
-            "total_checked": rep["total_checked"],
-            "mode": rep["mode"],
-            "passed": rep["all_passed"],
-            "failures": [list(f) for f in rep["failures"]],
-        }
-        _emit(_report(args, result), args.output)
-        return 0 if rep["all_passed"] else 1
-    if args.name not in _CHECK_SUITES:
+    suite = _CHECK_SUITES.get(args.name)
+    if suite is None:
         raise DomainError(f"unknown check suite {args.name!r}; "
                           f"choose from {sorted(_CHECK_SUITES)}")
-    unread = [flag for flag in ("--n", "--k") if getattr(args, flag[2:]) is not None]
-    if unread:
-        raise DomainError(f"check suite {args.name!r} does not read {' or '.join(unread)}")
-    results = acceptance.run_all(_CHECK_SUITES[args.name])
-    payload = [
-        {"criterion": r.index, "name": r.name, "passed": r.passed,
-         "detail": r.detail}
-        for r in results
-    ]
+    payload, passed = suite(args)
     _emit(_report(args, payload), args.output)
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if passed else 1
 
 
 def _cmd_search(args) -> int:
@@ -213,15 +220,10 @@ def _cmd_branch(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     indices = _int_list(args.criteria, "--criteria") if args.criteria is not None else None
-    results = []
-    for res in acceptance.run_all(indices):
+    results = acceptance.run_all(indices)
+    for res in results:
         print(res.line(), file=sys.stderr)
-        results.append(res)
-    payload = [
-        {"criterion": r.index, "name": r.name, "passed": r.passed,
-         "detail": r.detail, "seconds": round(r.seconds, 2)}
-        for r in results
-    ]
+    payload = [{**_criterion_row(r), "seconds": round(r.seconds, 2)} for r in results]
     _emit(_report(args, payload), args.output)
     return 0 if all(r.passed for r in results) else 1
 
@@ -233,10 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, summary: str, ints=(), report: bool = True) -> argparse.ArgumentParser:
-        """A subcommand with the integer flags its handler reads, --output and,
-        if it writes a report, the flags the report echoes or uses."""
+    def add(name: str, summary: str, handler, ints=(),
+            report: bool = True) -> argparse.ArgumentParser:
+        """A subcommand run by handler, with the integer flags it reads, --output
+        and, if it writes a report, the flags the report echoes or uses."""
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(handler=handler)
         for flag in ints:
             p.add_argument(flag, type=int)
         p.add_argument("--output")
@@ -247,23 +251,25 @@ def build_parser() -> argparse.ArgumentParser:
                            help="accepted and echoed in the report; has no effect")
         return p
 
-    p = add("construct", "emit a named construction as a family file",
+    p = add("construct", "emit a named construction as a family file", _cmd_construct,
             ("--n", "--k", "--t"), report=False)
     p.add_argument("--name", required=True, choices=CONSTRUCTION_NAMES)
     p.add_argument("--param", action="append", default=[],
                    help="extra KEY=VALUE (lists comma-separated), e.g. T=1,2")
 
-    p = add("eval", "evaluate a catalogued closed form", ("--n", "--k", "--t", "--l", "--nu"))
+    p = add("eval", "evaluate a catalogued closed form", _cmd_eval,
+            ("--n", "--k", "--t", "--l", "--nu"))
     p.add_argument("--id", required=True)
 
-    p = add("check", "run a named invariant suite", ("--n", "--k"))
+    p = add("check", "run a named invariant suite", _cmd_check, ("--n", "--k"))
     p.add_argument("--name", required=True)
 
-    p = add("search", "run an exhaustive or budgeted maximizer",
+    p = add("search", "run an exhaustive or budgeted maximizer", _cmd_search,
             ("--n", "--k", "--t", "--budget"))
     p.add_argument("--objective", required=True)
 
-    p = add("branch", "run a branching process on families from a file", ("--t",))
+    p = add("branch", "run a branching process on families from a file", _cmd_branch,
+            ("--t",))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--name", required=True, choices=("cross", "t"))
     p.add_argument("--input", required=True)
@@ -271,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-rule", action="store_true", dest="random_rule",
                    help="use a seeded random selection rule instead of the deterministic one")
 
-    p = add("verify-all", "run the full acceptance suite")
+    p = add("verify-all", "run the full acceptance suite", _cmd_verify_all)
     p.add_argument("--criteria", help="comma-separated criterion indices (default: all)")
     return parser
 
@@ -282,16 +288,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    handlers = {
-        "construct": _cmd_construct,
-        "eval": _cmd_eval,
-        "check": _cmd_check,
-        "search": _cmd_search,
-        "branch": _cmd_branch,
-        "verify-all": _cmd_verify_all,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,10 +8,10 @@ its arguments and takes one ``transversals.upward_closure`` of its bases.
 The CLI-facing names (star, A1, A2, A3, Ankt, prop21_tight, antichain_52,
 cross_sperner_54) are stable identifiers, the keys of the ``_CONSTRUCTIONS``
 table; the functions carry descriptive names.  Pair-valued constructions
-return (Family, Family).  ``construct`` validates integer parameters as the
-formulas do (``formulas._need``) and a set-valued one as a list of elements
-of [n]; ``verify_construction`` reports the first member or member pair, in
-scan order, that breaks the advertised property.
+return (Family, Family).  ``construct`` refuses a parameter its entry does not
+name and validates the rest, integers as the formulas do (``formulas._need``)
+and a set as a list of elements of [n]; ``verify_construction`` reports the
+first member or member pair, in scan order, that breaks the advertised property.
 """
 
 from __future__ import annotations
@@ -154,6 +154,9 @@ def construct(name: str, params: dict):
     if entry is None:
         raise DomainError(f"unknown construction {name!r}")
     names, set_name, builder = entry
+    unread = [key for key in params if key not in names and key != set_name]
+    if unread:
+        raise DomainError(f"{name} does not read parameter {', '.join(map(repr, unread))}")
     ints = _need(params, *names)  # every builder takes n first
     if set_name is None:
         return builder(*ints)

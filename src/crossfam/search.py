@@ -76,9 +76,7 @@ class SearchResult:
     exhaustive: bool
 
     def to_json_dict(self) -> dict:
-        if self.witness is None:
-            w = None
-        elif isinstance(self.witness, tuple):
+        if isinstance(self.witness, tuple):
             w = [[list(s) for s in fam.sets()] for fam in self.witness]
         else:
             w = [list(s) for s in self.witness.sets()]

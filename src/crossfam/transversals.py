@@ -15,7 +15,6 @@ the columns ``sets_above(n, k, 1)``; they need n >= 2k - 1 (pair) or 2k - t.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
@@ -66,11 +65,12 @@ def transversal_family(f: Family, t: int, max_size: int) -> Family:
 def covering_number(f: Family, t: int = 1) -> int:
     """Minimum size of a set meeting every member of f in >= t elements.
 
-    A greedy cover gives the first upper bound; a depth-first search then
-    branches on the elements of a most-deficient member.  A branch is pruned
-    by a packing bound: deficient members whose free parts (elements not yet
-    chosen) are pairwise disjoint, picked greedily, each need their own
-    deficit of new elements, so the sum of their deficits is a lower bound.
+    The search starts from the ground set as its incumbent, a t-cover since
+    every member has at least t elements, and branches depth first on the
+    elements of a most-deficient member.  A branch is pruned by a packing
+    bound: deficient members whose free parts (elements not yet chosen) are
+    pairwise disjoint, picked greedily, each need their own deficit of new
+    elements, so the sum of their deficits is a lower bound.
     The greedy pick can skip the most deficient member, so the prune takes
     the larger of that sum and the worst single deficit.
     """
@@ -81,22 +81,7 @@ def covering_number(f: Family, t: int = 1) -> int:
     if min(m.bit_count() for m in f.members) < t:
         raise DomainError(f"some member has fewer than t={t} elements; no t-transversal exists")
     members = f.members
-
-    # greedy upper bound: repeatedly add the element fixing most deficits
-    chosen = 0
-    while True:
-        deficient = [m for m in members if (m & chosen).bit_count() < t]
-        if not deficient:
-            break
-        scores: dict[int, int] = {}
-        for m in deficient:
-            rest = m & ~chosen
-            while rest:
-                low = rest & -rest
-                scores[low] = scores.get(low, 0) + 1
-                rest ^= low
-        chosen |= max(scores, key=lambda b: (scores[b], -b))
-    best = chosen.bit_count()
+    best = f.ground.n
 
     def dfs(cm: int, cnt: int) -> None:
         nonlocal best
@@ -486,21 +471,6 @@ class BasisPartition:
     family_levels: dict
     s: int
     r: int
-
-    def to_json_dict(self) -> dict:
-        levels = []
-        for size in range(self.s, self.r + 1):
-            basis = self.basis_levels.get(size)
-            members = self.family_levels.get(size)
-            levels.append({
-                "size": size,
-                "basis": [",".join(map(str, s)) for s in basis.sets()] if basis else [],
-                "members": [",".join(map(str, s)) for s in members.sets()] if members else [],
-            })
-        return {"s": self.s, "r": self.r, "levels": levels}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def partition_by_basis(f: Family, b: Family) -> BasisPartition:

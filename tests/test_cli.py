@@ -388,6 +388,13 @@ _UNREAD = "unrecognized arguments"
     # cross branching takes no --t
     (("branch", "--name", "cross", "--input", "bases.fam", "--k", "3", "--r", "2", "--t", "2"),
      "error: cross branching does not read --t"),
+    # construct takes only the parameters its construction reads
+    (("construct", "--name", "A3", "--n", "4", "--k", "2", "--t", "5"),
+     "error: A3 does not read parameter 't'"),
+    (("construct", "--name", "A3", "--n", "4", "--k", "2", "--param", "T=1"),
+     "error: A3 does not read parameter 'T'"),
+    (("construct", "--name", "star", "--n", "4", "--k", "2", "--param", "T=1", "--param", "Q=1"),
+     "error: star does not read parameter 'Q'"),
 ])
 def test_malformed_cli_input_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -257,6 +257,8 @@ def test_construct_dispatcher_and_spec():
         construct("star", {"n": 4, "k": 2})
     with pytest.raises(DomainError, match=r"^missing parameter 'n'$"):
         construct("A1", {"k": 3})
+    with pytest.raises(DomainError, match=r"^star does not read parameter 'Q'$"):
+        construct("star", {"n": 4, "k": 2, "T": [1], "Q": 1})
     with pytest.raises(DomainError, match=r"^parameter 't' must be an integer, got '1'$"):
         construct("Ankt", {"n": 8, "k": 3, "t": "1"})
     for center in ([5], [0], [True], "1", (1,)):

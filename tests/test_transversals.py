@@ -1,4 +1,3 @@
-import json
 import random
 from itertools import combinations
 from math import comb
@@ -93,6 +92,16 @@ def test_covering_number_matches_oracle():
         sets = sorted({frozenset(rng.sample(range(1, n + 1), rng.randint(t, n)))
                        for _ in range(rng.randint(1, 8))}, key=sorted)
         assert covering_number(fam(sets, n), t) == oracle.min_cover_size(sets, t), (n, t, sets)
+
+
+@pytest.mark.parametrize("sets, n, t", [
+    *[([tuple(range(1, n + 1))], n, n) for n in range(1, 6)],
+    ([(1, 2, 3), (3, 4, 5)], 5, 3),
+])
+def test_covering_number_can_need_the_whole_ground_set(sets, n, t):
+    # the only t-cover is [n], the search's first incumbent, so no branch improves on it
+    assert covering_number(fam(sets, n), t) == n == oracle.min_cover_size(
+        [frozenset(s) for s in sets], t)
 
 
 def test_matching_number_examples():
@@ -555,19 +564,6 @@ def test_partition_errors():
         partition_by_basis(s1, fam([(2,)], 6))
     with pytest.raises(DomainError):
         partition_by_basis(s1, Family.empty(GroundSet(6)))
-
-
-def test_basis_partition_json_shape():
-    s1 = star(5, 2, [1])
-    part = partition_by_basis(s1, fam([(1,)], 5))
-    data = json.loads(part.to_json())
-    assert set(data) == {"s", "r", "levels"}
-    assert data["s"] == 1 and data["r"] == 1
-    assert data["levels"] == [{
-        "size": 1,
-        "basis": ["1"],
-        "members": ["1,2", "1,3", "1,4", "1,5"],
-    }]
 
 
 @settings(max_examples=30, deadline=None)
