@@ -59,8 +59,10 @@ def main() -> int:
     ap.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     ap.add_argument("--seconds", type=float, default=25.0, help="per workload")
     ap.add_argument("--size", choices=("full", "small"), default="full")
-    ap.add_argument("--out-dir", default=str(ROOT))
+    ap.add_argument("--out-dir", default=str(ROOT), help="created if missing")
     args = ap.parse_args()
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before the runs, so a bad path costs none
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     end_to_end = {m["name"] for m in spec["end_to_end"]}
@@ -72,7 +74,7 @@ def main() -> int:
         report["workloads"][workload] = got
         pass_s = got["end_to_end"].get("pass_s", {}).get("median")
         print(f"{workload}: correct {got['correct']}, pass_s median {pass_s}", file=sys.stderr)
-    path = Path(args.out_dir) / f"BENCH_{args.label}.json"
+    path = out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(path)
     return 0 if all(w["correct"] for w in report["workloads"].values()) else 1

@@ -18,10 +18,18 @@ retires at its parent, into the parent's sibling group (prefix, d, chosen
 sets, ys): its survivors are prefix + (y,) for y in ys, all of weight 1/d.
 Groups are kept in survivor order, so level counts, weight floors and
 coverage are read per group and no survivor is ever materialised on the
-way to the report.  The hypothesis tau_t(F) >= t+1 needs no search: a set
-of at most t elements meets every member in t elements only if it is a
-t-set inside all of them, so for members of size >= t it holds iff fewer
-than t elements lie in every member.
+way to the report.
+
+Each basis has one holder table (``_holders``): element y -> the bitset of
+the members holding y.  The frontier reads it, and so does every hypothesis,
+with no pair loop: the basis is an antichain iff the members holding all of
+member i are i alone; B2 cross-intersects B1 iff B1's holders of each B2
+set's elements OR to all of B1; the basis is t-intersecting iff the planes
+of each member, folded from the table as a sequence's are, have plane t
+full.  The hypothesis tau_t(F) >= t+1 needs no search: a set of at most t
+elements meets every member in t elements only if it is a t-set inside all
+of them, so for members of size >= t it holds iff fewer than t elements lie
+in every member.
 
 The selection rule is deterministic by default (smallest cardinality, then
 smallest mask, among the qualifying sets); pass a seeded ``random.Random``
@@ -43,7 +51,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
 from math import comb
-from operator import and_
+from operator import and_, or_
 from typing import Iterator
 
 from .constructions import window_family
@@ -53,11 +61,10 @@ from .families import (
     NodeLimitExceeded,
     VerificationError,
     elements_of,
-    is_antichain,
-    is_cross_intersecting,
     is_t_intersecting,
     mask_of,
     nth_bit,
+    _require_same_ground,
 )
 from .transversals import upward_closure
 
@@ -200,10 +207,61 @@ def smallest_branching_level(b: Family, t: int = 1) -> int | None:
     return None
 
 
-def _grow(members: tuple[int, ...], r: int, t: int, rng: random.Random | None,
-          max_nodes: int):
+def _holders(b: Family) -> list[int]:
+    """b's holder table: element y of [n] -> the bitset of the members holding y.
+
+    Member i is bit i, members in mask order; entry 0 is unused.  Sized by
+    the ground set, so a partner basis on the same [n] can index it.
+    """
+    hit = [0] * (b.ground.n + 1)
+    for i, m in enumerate(b.members):
+        for y in elements_of(m):
+            hit[y] |= 1 << i
+    return hit
+
+
+def _extend(planes: list[int], h: int) -> list[int]:
+    """The planes of S + y from those of S, for h the members holding y.
+
+    Plane j is the bitset of the members meeting S in >= j elements, j = 0..t.
+    """
+    out = planes[:]
+    for j in range(len(out) - 1, 0, -1):
+        out[j] |= out[j - 1] & h
+    return out
+
+
+def _planes(hit: list[int], elements, t: int, full: int) -> list[int]:
+    """The planes of the set of `elements`, from those of the empty set."""
+    planes = [full] + [0] * t
+    for y in elements:
+        planes = _extend(planes, hit[y])
+    return planes
+
+
+def _is_antichain(members, hit: list[int]) -> bool:
+    """No member inside another: the members holding all of member i are i alone."""
+    full = (1 << len(members)) - 1
+    return all(reduce(and_, map(hit.__getitem__, elements_of(m)), full) == 1 << i
+               for i, m in enumerate(members))
+
+
+def _is_cross_intersecting(members, hit: list[int], others) -> bool:
+    """Every set of others meets every member: the members holding one of its elements are all."""
+    full = (1 << len(members)) - 1
+    return all(reduce(or_, map(hit.__getitem__, elements_of(m)), 0) == full for m in others)
+
+
+def _is_t_intersecting(members, hit: list[int], t: int) -> bool:
+    """Every member shares >= t elements with each member, itself included."""
+    full = (1 << len(members)) - 1
+    return all(_planes(hit, elements_of(m), t, full)[t] == full for m in members)
+
+
+def _grow(members: tuple[int, ...], hit: list[int], r: int, t: int,
+          rng: random.Random | None, max_nodes: int):
     """Run the t-process on members, ascending masks, from the t-subsets of a
-    minimum-size member.
+    minimum-size member; hit is their holder table (``_holders``).
 
     Returns the survivors' sibling groups (see ``BranchReport``) in survivor
     order and their total weight, which the last round has checked to be
@@ -211,11 +269,8 @@ def _grow(members: tuple[int, ...], r: int, t: int, rng: random.Random | None,
     every later one from all members.
     """
     full = (1 << len(members)) - 1
-    hit = [0] * (max(members).bit_length() + 1)  # element -> members holding it
     classes: dict[int, int] = {}  # size -> members of that size
     for i, m in enumerate(members):
-        for y in elements_of(m):
-            hit[y] |= 1 << i
         classes[m.bit_count()] = classes.get(m.bit_count(), 0) | 1 << i
     by_size = [classes[size] for size in sorted(classes)]
     low = sum(bits for size, bits in classes.items() if size <= r)
@@ -230,13 +285,6 @@ def _grow(members: tuple[int, ...], r: int, t: int, rng: random.Random | None,
                     return members[(x & -x).bit_length() - 1]
         return members[nth_bit(pool, rng.choice(range(pool.bit_count())))]
 
-    def extend(planes: list[int], h: int) -> list[int]:
-        """The planes of S + y from those of S, for h the members holding y."""
-        out = planes[:]
-        for j in range(t, 0, -1):
-            out[j] |= out[j - 1] & h
-        return out
-
     seed = pick(by_size[0])
     d = comb(seed.bit_count(), t)
     # a live sequence: elements, d, chosen sets, set mask S, planes
@@ -244,9 +292,7 @@ def _grow(members: tuple[int, ...], r: int, t: int, rng: random.Random | None,
     frontier = []
     groups = []
     for combo in combinations(elements_of(seed), t):
-        planes = [full] + [0] * t
-        for y in combo:
-            planes = extend(planes, hit[y])
+        planes = _planes(hit, combo, t, full)
         pool = low & ~planes[t]
         if pool:
             frontier.append((combo, d, (seed,), mask_of(combo), planes, pool))
@@ -282,7 +328,7 @@ def _grow(members: tuple[int, ...], r: int, t: int, rng: random.Random | None,
                 if top | below & h == full:  # no member meets S + y in < t elements
                     ys.append(y)
                     continue
-                child = extend(planes, h)
+                child = _extend(planes, h)
                 nxt.append((elements + (y,), d, chosen_sets, smask | 1 << (y - 1), child,
                             full ^ child[t]))
             if ys:
@@ -362,18 +408,20 @@ def run_branching_cross(b1: Family, b2: Family, k: int, r: int,
         raise DomainError("branching needs nonempty bases")
     if any(m.bit_count() > k for m in b1.members + b2.members):
         raise DomainError("a basis set exceeds size k")
-    if not (is_antichain(b1) and is_antichain(b2)):
+    hit = _holders(b1)
+    if not (_is_antichain(b1.members, hit) and _is_antichain(b2.members, _holders(b2))):
         raise DomainError("bases must be antichains")
     s = min(m.bit_count() for m in b1.members)
     if s < 2:
         raise DomainError(f"hypothesis s(B1) >= 2 violated (s = {s})")
-    if not is_cross_intersecting(b1, b2):
+    _require_same_ground(b1, b2)
+    if not _is_cross_intersecting(b1.members, hit, b2.members):
         raise DomainError("bases must be cross-intersecting")
     low = [m for m in b1.members if m.bit_count() <= r]
     if not low or not _tau_t_exceeds_t(low, 1):
         raise DomainError(f"hypothesis tau(B1 restricted to sizes <= {r}) >= 2 violated")
 
-    return _verified(_finish_report(*_grow(b1.members, r, 1, rng, max_nodes), b2, 1, k, r))
+    return _verified(_finish_report(*_grow(b1.members, hit, r, 1, rng, max_nodes), b2, 1, k, r))
 
 
 def run_branching_t(b: Family, t: int, k: int, r: int,
@@ -394,18 +442,19 @@ def run_branching_t(b: Family, t: int, k: int, r: int,
         raise DomainError("branching needs a nonempty basis")
     if any(m.bit_count() > k for m in b.members):
         raise DomainError("a basis set exceeds size k")
-    if not is_antichain(b):
+    hit = _holders(b)
+    if not _is_antichain(b.members, hit):
         raise DomainError("basis must be an antichain")
     s = min(m.bit_count() for m in b.members)
     if s < t + 1:
         raise DomainError(f"hypothesis s(B) >= t+1 violated (s = {s})")
-    if not is_t_intersecting(b, t):
+    if not _is_t_intersecting(b.members, hit, t):
         raise DomainError("basis must be t-intersecting")
     low = [m for m in b.members if m.bit_count() <= r]
     if not low or not _tau_t_exceeds_t(low, t):
         raise DomainError(f"hypothesis tau_t(B restricted to sizes <= {r}) >= t+1 violated")
 
-    return _verified(_finish_report(*_grow(b.members, r, t, rng, max_nodes), b, t, k, r))
+    return _verified(_finish_report(*_grow(b.members, hit, r, t, rng, max_nodes), b, t, k, r))
 
 
 def verify_window_closure(b: Family, t: int, n: int, k: int) -> bool:

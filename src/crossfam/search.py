@@ -541,11 +541,19 @@ def _pair_example(ctx: LayerContext, fb: int, gb: int) -> dict:
 # exhaustive, and the outcome of each trial run: a counterexample or None.
 
 def _prop21_trials(n: int, params: dict, trials: int, seed: int):
-    ctx = layer_context(n, params["k"])
+    k = params["k"]
+    ctx = layer_context(n, k)
+
+    @lru_cache(maxsize=None)  # a pair drawn twice is checked once
+    def outcome(fb: int, gb: int):
+        if has_matching_of_size(realized_corank1_layer(ctx, fb, gb), 5):
+            return _pair_example(ctx, fb, gb)
+        return None
+
+    if k == 2 and n <= 10:  # at most 4,722 saturated pairs: list them all
+        return True, (outcome(fb, gb) for fb, gb in all_saturated_pairs(n, k)[1])
     pairs = (sample_saturated_pair_bits(ctx, rng) for rng in _trial_rngs(seed, trials))
-    return False, (_pair_example(ctx, fb, gb)
-                   if has_matching_of_size(realized_corank1_layer(ctx, fb, gb), 5) else None
-                   for fb, gb in pairs)
+    return False, (outcome(fb, gb) for fb, gb in pairs)
 
 
 def _pyber_trials(n: int, params: dict, trials: int, seed: int):
@@ -609,8 +617,9 @@ def randomized_check(property_name: str, params: dict, trials: int,
     """Assert one of the named properties on seeded random instances.
 
     A found counterexample makes the report fail; it never raises.
-    prop53_antichain runs exhaustively for n <= 5 regardless of `trials`,
-    and hm counts only the non-star families it drew (at most 20 * trials).
+    prop21_nu_le4 runs exhaustively at k = 2, n <= 10, and prop53_antichain
+    for n <= 5, regardless of `trials`; hm counts only the non-star families
+    it drew (at most 20 * trials).
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")

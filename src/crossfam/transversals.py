@@ -11,6 +11,8 @@ Each hypothesis is decided on these bitsets: (F, G) cross-intersects iff F lies
 in T(G), and f is t-intersecting iff it lies in the AND of its members' rows.
 Bases skip every set with a k-superset outside the saturated family, read off
 the columns ``sets_above(n, k, 1)``; they need n >= 2k - 1 (pair) or 2k - t.
+Their after-check's ``upward_closure`` lists each basis set's k-supersets
+from its complement, apart from those columns.
 """
 
 from __future__ import annotations
@@ -183,11 +185,19 @@ def minimal_sets(f: Family) -> Family:
 
 
 def upward_closure(b: Family, k: int) -> Family:
-    """All k-sets of the ground set containing some member of b."""
+    """All k-sets of the ground set containing some member of b.
+
+    Each member s is completed by every (k - |s|)-subset of its complement;
+    no layer table is read, so the basis after-checks stay independent of
+    the ``sets_above`` columns the bases kernel skips on.
+    """
     if any(m.bit_count() > k for m in b.members):
         raise DomainError(f"a member exceeds the closure size k={k}")
-    masks = [m for m in full_layer(b.ground, k).members
-             if any(m & s == s for s in b.members)]
+    full = b.ground.full_mask
+    masks: set[int] = set()
+    for s in b.members:
+        # distinct bits: sum = union
+        masks.update(s | c for c in map(sum, combinations(_bits(full & ~s), k - s.bit_count())))
     return Family.from_masks(masks, b.ground, k)
 
 

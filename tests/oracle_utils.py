@@ -18,6 +18,11 @@ def star_sets(n, k, center):
     return [s for s in ksets(n, k) if c <= s]
 
 
+def upward_closure_sets(members, n, k):
+    """The k-sets of [n] containing some member: the layer, filtered."""
+    return [s for s in ksets(n, k) if any(m <= s for m in members)]
+
+
 def union_families(*fams):
     out = []
     for fam in fams:

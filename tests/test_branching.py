@@ -5,15 +5,17 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossfam.families import (DomainError, Family, GroundSet, NodeLimitExceeded,
-                               VerificationError, elements_of)
+                               VerificationError, elements_of, is_antichain,
+                               is_cross_intersecting, is_t_intersecting)
 from crossfam import branching
 from crossfam.branching import (
     _finish_report,
     _grow,
+    _holders,
     _verified,
     run_branching_cross,
     run_branching_t,
@@ -97,6 +99,146 @@ def test_t_hypothesis_errors():
         run_branching_t(fam([(1, 2), (3, 4)], 6), t=1, k=3, r=2)
     with pytest.raises(DomainError, match="tau"):
         run_branching_t(fam([(1, 2), (1, 3)], 6), t=1, k=3, r=2)
+
+
+def _pair_loop_cross_refusal(b1, b2, k, r):
+    """The refusal run_branching_cross owes (b1, b2), decided by the families pair
+    loops in the runner's order, or None when every hypothesis holds."""
+    if not b1.members or not b2.members:
+        return "branching needs nonempty bases"
+    if any(m.bit_count() > k for m in b1.members + b2.members):
+        return "a basis set exceeds size k"
+    if not (is_antichain(b1) and is_antichain(b2)):
+        return "bases must be antichains"
+    s = min(m.bit_count() for m in b1.members)
+    if s < 2:
+        return f"hypothesis s(B1) >= 2 violated (s = {s})"
+    try:
+        crossing = is_cross_intersecting(b1, b2)
+    except DomainError as err:  # mismatched ground sets
+        return str(err)
+    if not crossing:
+        return "bases must be cross-intersecting"
+    low = [frozenset(elements_of(m)) for m in b1.members if m.bit_count() <= r]
+    if not low or oracle.min_cover_size(low) < 2:
+        return f"hypothesis tau(B1 restricted to sizes <= {r}) >= 2 violated"
+    return None
+
+
+def _pair_loop_t_refusal(b, t, k, r):
+    """The refusal run_branching_t owes b, as ``_pair_loop_cross_refusal``."""
+    if t < 1:
+        return f"t must be >= 1, got {t}"
+    if not b.members:
+        return "branching needs a nonempty basis"
+    if any(m.bit_count() > k for m in b.members):
+        return "a basis set exceeds size k"
+    if not is_antichain(b):
+        return "basis must be an antichain"
+    s = min(m.bit_count() for m in b.members)
+    if s < t + 1:
+        return f"hypothesis s(B) >= t+1 violated (s = {s})"
+    if not is_t_intersecting(b, t):
+        return "basis must be t-intersecting"
+    low = [frozenset(elements_of(m)) for m in b.members if m.bit_count() <= r]
+    if not low or oracle.min_cover_size(low, t) < t + 1:
+        return f"hypothesis tau_t(B restricted to sizes <= {r}) >= t+1 violated"
+    return None
+
+
+def _refusal(run):
+    """The DomainError message run() raises, or None if it gets past the hypotheses."""
+    try:
+        run()
+    except DomainError as err:
+        return str(err)
+    except (NodeLimitExceeded, VerificationError):
+        pass
+    return None
+
+
+@st.composite
+def _basis(draw, n):
+    """A family of 1..5 sets on [n], mostly of size 2..4, now and then a smaller one."""
+    size = st.sampled_from((2,) * 6 + (3,) * 5 + (4,) * 2 + (0, 1))
+    sized = size.flatmap(lambda c: st.sets(st.integers(1, n), min_size=min(c, n),
+                                           max_size=min(c, n)))
+    return fam(draw(st.lists(sized, min_size=1, max_size=5)), n)
+
+
+def _window_plus(n, t):
+    """The (t+1)-subsets of a (t+2)-subset of [n], a t-intersecting antichain with
+    tau_t = t+1, plus up to two sets of ``_basis(n)``."""
+    window = st.sets(st.integers(1, n), min_size=min(t + 2, n), max_size=min(t + 2, n)).map(
+        lambda w: list(combinations(sorted(w), t + 1)))
+    return st.tuples(window, _basis(n)).map(
+        lambda parts: fam(parts[0] + list(parts[1].sets()[:2]), n))
+
+
+def _minimal(sets):
+    return [s for s in sets if not any(o < s for o in sets)]
+
+
+@st.composite
+def _cross_input(draw):
+    """(b1, b2, k, r) with b2 on [n] or, now and then, another ground set.
+
+    b2 is random, b1 itself, or the minimal sets among some that each take
+    one element of every set of b1 plus extras, some beyond b1's largest
+    element: a cross-intersecting pair unless b1 holds the empty set.
+    """
+    n = draw(st.integers(3, 7))
+    n2 = draw(st.sampled_from((n, n, n, n, n + 1, n - 1)))
+    b1 = draw(_basis(n) | _window_plus(n, 1))
+    hitting = st.builds(lambda picks, extra: frozenset(picks) | extra,
+                        st.tuples(*(st.sampled_from(elements_of(m)) for m in b1.members if m)),
+                        st.frozensets(st.integers(1, n2), max_size=1))
+    b2 = draw(_basis(n2) | st.just(b1) | st.lists(hitting, min_size=1, max_size=4).map(
+        lambda sets: fam(_minimal([s for s in sets if max(s, default=0) <= n2]), n2)))
+    # k at or near the largest set size: a set above k is refused first
+    k = max(0, max(m.bit_count() for m in b1.members + b2.members) + draw(st.integers(-1, 2)))
+    return b1, b2, k, k + 1 - draw(st.integers(0, k))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_cross_input())
+@example((TRIANGLE6, TRIANGLE6, 3, 2))  # every hypothesis holds
+# B2's elements beyond B1's largest one index B1's holder table
+@example((TRIANGLE6, fam([(1, 2, 6), (2, 3, 5), (1, 3, 4)], 6), 3, 2))
+@example((TRIANGLE6, fam([(1, 2), (1, 3), (2, 3)], 7), 3, 2))  # mismatched grounds
+@example((TRIANGLE6, fam([(3, 4)], 6), 3, 2))  # misses only B1's first member, {1, 2}
+@example((TRIANGLE6, fam([()], 6), 3, 2))  # an empty-set member meets nothing
+@example((fam([()], 6), TRIANGLE6, 3, 2))
+@example((fam([(1, 2), (1, 2, 3)], 6), TRIANGLE6, 3, 3))  # not an antichain
+@example((TRIANGLE6, fam([(1, 2), (1, 2, 3)], 6), 3, 3))
+def test_cross_runner_refuses_as_the_pair_loops(case):
+    b1, b2, k, r = case
+    want = _pair_loop_cross_refusal(b1, b2, k, r)
+    got = _refusal(lambda: run_branching_cross(b1, b2, k=k, r=r, max_nodes=2000))
+    assert got == want, (b1.sets(), b2.sets(), k, r)
+
+
+@st.composite
+def _t_input(draw):
+    n = draw(st.integers(3, 6))
+    t = draw(st.sampled_from((0, 1, 1, 1, 2, 2, 3)))
+    b = draw(_basis(n) | _window_plus(n, max(t, 1)))
+    k = max(0, max(m.bit_count() for m in b.members) + draw(st.integers(-1, 2)))
+    return b, t, k, k + 1 - draw(st.integers(0, k))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_t_input())
+@example((TRIANGLE6, 1, 3, 2))  # every hypothesis holds
+@example((fam([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)], 8), 2, 3, 3))
+@example((fam([(1, 2, 3), (1, 2, 4), (3, 4, 5)], 6), 2, 3, 3))  # not 2-intersecting
+@example((fam([()], 6), 1, 3, 2))
+@example((fam([(1, 2), (1, 2, 3)], 6), 1, 3, 3))  # not an antichain
+def test_t_runner_refuses_as_the_pair_loops(case):
+    b, t, k, r = case
+    want = _pair_loop_t_refusal(b, t, k, r)
+    got = _refusal(lambda: run_branching_t(b, t=t, k=k, r=r, max_nodes=2000))
+    assert got == want, (b.sets(), t, k, r)
 
 
 def test_t2_simplex_basis():
@@ -296,7 +438,7 @@ def test_seed_surviving_round_zero_matches_oracle(rule):
         run_branching_t(b, t=2, k=4, r=3)
     rng = random.Random("seed-survivor") if rule == "random" else None
     oracle_rng = random.Random("seed-survivor") if rule == "random" else None
-    rep = _finish_report(*_grow(b.members, 3, 2, rng, 10 ** 6), b, 2, 4, 3)
+    rep = _finish_report(*_grow(b.members, _holders(b), 3, 2, rng, 10 ** 6), b, 2, 4, 3)
     want = oracle.branching_oracle(_sets(b), _sets(b), 2, 4, 3, oracle_rng)
     assert rep.survivors[0].elements == (1, 2)
     assert rep.survivors[0].weight == Fraction(1, 3)
@@ -330,7 +472,7 @@ def test_coverage_of_each_set_matches_oracle(rule):
         n = driver.ground.n
         rng = random.Random(f"cover:{name}") if rule == "random" else None
         oracle_rng = random.Random(f"cover:{name}") if rule == "random" else None
-        grown = _grow(driver.members, r, t, rng, 10 ** 6)
+        grown = _grow(driver.members, _holders(driver), r, t, rng, 10 ** 6)
         want = oracle.branching_oracle(_sets(driver), _sets(driver), t, k, r, oracle_rng,
                                        cross=kind == "cross")
         survivor_sets = {frozenset(s["elements"]) for s in want["survivors"]}

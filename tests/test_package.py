@@ -1,7 +1,9 @@
-"""Checks on the package as a whole: its imports and the names the benchmark traces."""
+"""Checks on the package as a whole: its imports, the names the benchmark traces and the
+script that writes BENCH_*.json."""
 
 import ast
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -57,3 +59,19 @@ def test_every_traced_name_is_a_callable_of_its_module(monkeypatch):
     missing = [f"crossfam.{module}.{name}" for module, name in names
                if not callable(getattr(importlib.import_module(f"crossfam.{module}"), name, None))]
     assert missing == []
+
+
+def test_bench_script_creates_its_out_dir(monkeypatch, tmp_path):
+    # the directory is made before any workload runs, so no run is lost to it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_script", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    out_dir = tmp_path / "new" / "dir"
+    ran = []
+    monkeypatch.setattr(bench, "run_workload", lambda workload, *_: ran.append(out_dir.is_dir())
+                        or {"correct": True, "end_to_end": {}})
+    monkeypatch.setattr(sys, "argv", ["bench.py", "--label", "t", "--out-dir", str(out_dir)])
+    assert bench.main() == 0
+    assert ran == [True] * len(bench.WORKLOADS)
+    assert json.loads((out_dir / "BENCH_t.json").read_text())["label"] == "t"

@@ -17,6 +17,7 @@ from crossfam.families import (
     nth_bit,
     wedge,
 )
+from crossfam import search
 from crossfam.constructions import four_star_pair, triangle_family
 from crossfam.formulas import eval_formula
 from crossfam.search import (
@@ -36,6 +37,7 @@ from crossfam.search import (
     remap_mask,
     sample_saturated_pair_bits,
     sample_saturated_t_family,
+    _trial_rng,
 )
 from crossfam.transversals import layer_context
 
@@ -383,6 +385,24 @@ def test_randomized_checks_pass():
     assert p53.passed and p53.exhaustive and p53.trials == 168
     p53b = randomized_check("prop53_antichain", {"n": 6}, 100, 6)
     assert p53b.passed and not p53b.exhaustive
+
+
+def test_prop21_lists_every_pair_at_k2_and_checks_each_draw_once(monkeypatch):
+    # at k = 2, n <= 10 every saturated pair is checked, whatever `trials` says
+    for n in (6, 8):
+        rep = randomized_check("prop21_nu_le4", {"n": n, "k": 2}, 1, 7)
+        assert rep.passed and rep.exhaustive
+        assert rep.trials == len(all_saturated_pairs(n, 2)[1])
+    # beyond that the pairs are drawn, and a pair drawn twice is checked once
+    checked = []
+    realized = search.realized_corank1_layer
+    monkeypatch.setattr(search, "realized_corank1_layer",
+                        lambda ctx, fb, gb: checked.append((fb, gb)) or realized(ctx, fb, gb))
+    rep = randomized_check("prop21_nu_le4", {"n": 7, "k": 3}, 300, 7)
+    assert rep.passed and not rep.exhaustive and rep.trials == 300
+    ctx = layer_context(7, 3)
+    draws = [sample_saturated_pair_bits(ctx, _trial_rng(7, i)) for i in range(300)]
+    assert sorted(checked) == sorted(set(draws)) and len(checked) < 300
 
 
 def test_randomized_check_determinism():

@@ -267,6 +267,33 @@ def test_sets_above_matches_definition(n, k, j):
         assert bits == sum(1 << i for i, m in enumerate(masks) if m & d == d)
 
 
+@st.composite
+def closure_input(draw):
+    """A family on [n], n <= 8, possibly empty, and a closure size k >= every member's size."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(0, n))
+    return fam(draw(st.lists(st.sets(st.integers(1, n), max_size=k), max_size=6)), n), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(closure_input())
+@example((Family.empty(GroundSet(4)), 2))
+def test_upward_closure_matches_the_oracle(case):
+    b, k = case
+    got = upward_closure(b, k)
+    assert got.uniformity == k
+    assert set(map(frozenset, got.sets())) == set(
+        oracle.upward_closure_sets(list(map(frozenset, b.sets())), b.ground.n, k))
+
+
+def test_upward_closure_edge_members():
+    # the empty set is below every k-set; a k-set is its own closure
+    assert upward_closure(fam([()], 5), 2) == full_layer(GroundSet(5), 2)
+    assert upward_closure(fam([(1, 2, 3), (2, 4, 5)], 5), 3) == fam([(1, 2, 3), (2, 4, 5)], 5, 3)
+    with pytest.raises(DomainError, match="^a member exceeds the closure size k=2$"):
+        upward_closure(fam([(1,), (1, 2, 3)], 5), 2)
+
+
 @pytest.mark.parametrize("n,k,t", [(26, 24, 12), (20, 18, 16), (6, 2, 0), (6, 2, -1)])
 def test_t_rows_of_a_complete_graph_need_no_table(monkeypatch, n, k, t):
     # any two k-sets share >= 2k - n elements; C(24, 12) subsets a row would be slow.
