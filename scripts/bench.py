@@ -5,25 +5,29 @@ For each of gate, search and branching this runs this checkout's
 ``perfbench/run.py --trace 0`` once and keeps, from its summary, the median,
 first and third quartile and sample count of every end-to-end metric that
 BENCHMARK.json names, and of every other timing it prints (the per-part
-seconds such as ``branching.frontier_s``, and ``wall_pass_s``).  Nothing is
-measured here: perfbench does the timing and the output checks.  Run from
+seconds such as ``branching.frontier_s``, and ``wall_pass_s``).  It then runs
+``crossfam verify-all --output`` once, in a fresh interpreter, and keeps each
+criterion's ``seconds`` and verdict from that report under ``criteria``.
+Nothing is timed here: perfbench and the report do the timing.  Run from
 anywhere, for example:
 
     python3 scripts/bench.py --label 13
     python3 scripts/bench.py --label smoke --size small --seconds 1 --out-dir /tmp
 
 Compare two commits with files written on the same machine.  The exit code
-is 1 if a workload's outputs were not all correct, else 0.
+is 1 if a workload's outputs were not all correct or a criterion failed, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,6 +58,20 @@ def run_workload(workload: str, seconds: float, size: str, end_to_end: set[str])
     return out
 
 
+def run_criteria() -> dict:
+    """One ``verify-all --output`` run, as {criterion: {"seconds", "passed"}}."""
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "verify-all.json"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        cmd = [sys.executable, "-m", "crossfam", "verify-all", "--output", str(report)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT, env=env)
+        if proc.returncode not in (0, 1) or not report.exists():
+            raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()}")
+        rows = json.loads(report.read_text())["result"]
+    return {f"c{row['criterion']:02d}": {"seconds": row["seconds"], "passed": row["passed"]}
+            for row in rows}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
@@ -74,10 +92,14 @@ def main() -> int:
         report["workloads"][workload] = got
         pass_s = got["end_to_end"].get("pass_s", {}).get("median")
         print(f"{workload}: correct {got['correct']}, pass_s median {pass_s}", file=sys.stderr)
+    report["criteria"] = run_criteria()
+    print(f"verify-all: {sum(c['seconds'] for c in report['criteria'].values()):.2f} s",
+          file=sys.stderr)
     path = out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(path)
-    return 0 if all(w["correct"] for w in report["workloads"].values()) else 1
+    passed = all(c["passed"] for c in report["criteria"].values())
+    return 0 if passed and all(w["correct"] for w in report["workloads"].values()) else 1
 
 
 if __name__ == "__main__":

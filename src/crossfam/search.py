@@ -293,8 +293,8 @@ def _maximal_cliques(ctx: LayerContext, t: int, budget: int | None):
     in reverse, so the lowest candidate is expanded first, as in the
     recursive form.
     """
-    row = t_rows(ctx.ground.n, ctx.k, t)
-    neigh = [row(mask) & ~(1 << i) for i, mask in enumerate(ctx.masks)]
+    rows = t_rows(ctx.ground.n, ctx.k, t)
+    neigh = [rows[mask] & ~(1 << i) for i, mask in enumerate(ctx.masks)]
     out = []
     nodes = 0
     stack = [(0, ctx.full_bits, 0)]
@@ -428,7 +428,12 @@ _SAMPLE_MEMBERS = 3
 
 
 def sample_saturated_pair_bits(ctx: LayerContext, rng: random.Random) -> tuple[int, int]:
-    """A random saturated cross-intersecting pair, as layer bitsets."""
+    """A random saturated cross-intersecting pair, as layer bitsets.
+
+    G is drawn with at most _SAMPLE_MEMBERS members, so once k >= _SAMPLE_MEMBERS
+    and n >= 2k the pair is (T(G), G): saturation never grows the G side.  At
+    (k, n) = (3, 10), where c05 samples, every pair is of that thin kind.
+    """
     layer_size = len(ctx.masks)
     for _ in range(200):
         count = rng.randint(1, _SAMPLE_MEMBERS)
@@ -460,11 +465,11 @@ def sample_saturated_t_family(n: int, k: int, t: int, rng: random.Random) -> Fam
     bitset (in mask order) of the k-sets meeting all drawn ones in >= t.
     """
     ctx = layer_context(n, k)
-    row = t_rows(n, k, t)
+    rows = t_rows(n, k, t)
     chosen = [rng.choice(ctx.masks)]
     allowed = ctx.full_bits
     for _ in range(rng.randint(0, _SAMPLE_MEMBERS - 1)):
-        allowed &= row(chosen[-1]) & ~(1 << ctx.index[chosen[-1]])
+        allowed &= rows[chosen[-1]] & ~(1 << ctx.index[chosen[-1]])
         size = allowed.bit_count()
         if not size:
             break

@@ -4,9 +4,11 @@ The exact searches here (covering number, matching number) are plain
 branch-and-bound over bitmasks; instances are tiny by design.  Saturation
 of k-uniform pairs runs on a per-(n, k) layer context that precomputes,
 for every k-set, the bitset of k-sets meeting it, so that "all k-sets
-meeting every member of G" is a handful of big-integer ANDs.  Saturation
-of t-intersecting families ORs the layer bitsets ``sets_above(n, k, t)`` of
-a member's t-subsets, C(n, t) * C(n, k) bits: under 100 KB at every layer run.
+meeting every member of G" is a handful of big-integer ANDs.  Those rows are
+the t = 1 instance of the one row table ``t_rows(n, k, t)``: a k-set's row,
+the k-sets sharing >= t with it, is the OR of the layer bitsets
+``sets_above(n, k, t)`` of its t-subsets, built on first use and kept for the
+process.  ``sets_above`` is C(n, t) * C(n, k) bits: under 100 KB at every layer run.
 Each hypothesis is decided on these bitsets: (F, G) cross-intersects iff F lies
 in T(G), and f is t-intersecting iff it lies in the AND of its members' rows.
 Bases skip every set with a k-superset outside the saturated family, read off
@@ -251,8 +253,8 @@ class LayerContext:
                 out &= self.adj[low.bit_length() - 1]
                 bits ^= low
             return out
-        row = t_rows(self.ground.n, self.k, 1)
-        return reduce(and_, map(row, self.masks_of(bits)), out)
+        rows = t_rows(self.ground.n, self.k, 1)
+        return reduce(and_, map(rows.__getitem__, self.masks_of(bits)), out)
 
     def closure(self, gb: int) -> tuple[int, int]:
         """(T(G), T(T(G))): the fixed point of F = T(G), then G = T(F), started from gb.
@@ -261,8 +263,16 @@ class LayerContext:
         (Ganter & Wille, *Formal Concept Analysis*, 1999): X <= T(T(X)), so
         T(T(T(X))) = T(X), and a second round would give T(T(T(G))) = T(G) and then
         T(T(G)) again.  So the saturated pair depends on G alone, whatever F was.
+
+        On a k-layer with |G| <= k <= n - k, T(T(G)) is G itself and only T(G) is
+        computed.  G <= T(T(G)) always; for a k-set X not in G, each g \\ X is
+        nonempty (g != X, |g| = |X|), so one element of each, padded to k elements
+        outside X (n - k >= k are there), is a member of T(G) that misses X, and
+        X is not in T(T(G)).  Every other input takes the second ``meet_all``.
         """
         nf = self.meet_all(gb)
+        if self.k is not None and gb.bit_count() <= self.k <= self.ground.n - self.k:
+            return nf, gb
         return nf, self.meet_all(nf)
 
 
@@ -271,7 +281,7 @@ def layer_context(n: int, k: int) -> LayerContext:
     ground = GroundSet(n)
     masks = full_layer(ground, k).members
     # a k-set meets exactly the k-sets above one of its elements: t_rows at t = 1
-    row = t_rows(n, k, 1) if len(masks) <= _ADJ_CAP else None
+    row = t_rows(n, k, 1).__getitem__ if len(masks) <= _ADJ_CAP else None
     return LayerContext.from_rows(ground, k, masks, row)
 
 
@@ -301,23 +311,42 @@ def sets_above(n: int, k: int, j: int) -> dict[int, int]:
     return dict(sorted(up.items()))
 
 
-def t_rows(n: int, k: int, t: int):
-    """The map from a k-set m of [n] to the layer bitset of the k-sets sharing >= t with m.
+class _RowTable(dict):
+    """k-set mask -> layer bitset of the k-sets sharing >= t with it; see ``t_rows``."""
 
-    It ORs the sets_above(n, k, t) rows of m's C(k, t) t-subsets, C(k, t) <= C(n, k)
-    once t > 2k - n: any two k-sets share 2k - n, so below that a row is the layer.
-    """
-    if t <= max(0, 2 * k - n):
-        full = (1 << comb(n, k)) - 1
-        return lambda m: full
-    up = sets_above(n, k, t)
+    def __init__(self, n: int, k: int, t: int) -> None:
+        super().__init__()
+        self.t = t
+        # any two k-sets share 2k - n elements: at or below that t a row is the layer
+        self.full = (1 << comb(n, k)) - 1 if t <= max(0, 2 * k - n) else None
+        self.up = None if self.full is not None else sets_above(n, k, t)
 
-    def row(m: int) -> int:
+    def fresh(self, m: int) -> int:
+        """Row m built from ``sets_above``, neither read from nor kept in the table."""
+        if self.up is None:
+            return self.full
         out = 0
-        for d in combinations(_bits(m), t):
-            out |= up[sum(d)]
+        for d in combinations(_bits(m), self.t):
+            out |= self.up[sum(d)]
         return out
-    return row
+
+    def __missing__(self, m: int) -> int:
+        row = self[m] = self.fresh(m)
+        return row
+
+
+@lru_cache(maxsize=None)
+def t_rows(n: int, k: int, t: int) -> _RowTable:
+    """The one row table of the (n, k) layer at t: rows[m] for a k-set m of [n].
+
+    Row m ORs the sets_above(n, k, t) rows of m's C(k, t) t-subsets; at t <= 2k - n
+    every row is the layer and sets_above is not read.  Each row is built the first
+    time it is asked for and kept, so the table holds only the rows used: all of
+    them once ``layer_context`` takes its "meets" rows (t = 1) from here, under
+    ``_ADJ_CAP``, and above it only those ``meet_all`` reads.  Shared, not to be
+    changed; ``fresh`` rebuilds a row without it.
+    """
+    return _RowTable(n, k, t)
 
 
 def _uniformity_of_pair(f: Family, g: Family) -> int:
@@ -334,7 +363,8 @@ def saturate_pair(f: Family, g: Family) -> tuple[Family, Family]:
     Replaces the F side by every k-set meeting all of G and then the G side
     by every k-set meeting all of the new F.  That one round is the fixed
     point of the alternation: T = "every k-set meeting all of" satisfies
-    T(T(T(X))) = T(X), so the result is (T(G), T(T(G))) whatever f was.
+    T(T(T(X))) = T(X), so the result is (T(G), T(T(G))) whatever f was,
+    and T(T(G)) is g itself when |g| <= k <= n - k (``LayerContext.closure``).
     Both sides only grow (f <= T(g) and g <= T(T(g))), so this is the
     unique maximal pair for this alternation order.
     """
@@ -358,7 +388,7 @@ def _t_layer(f: Family, t: int, who: str) -> tuple[LayerContext, int, int]:
         raise DomainError(f"t must be >= 1, got {t}")
     ctx = layer_context(f.ground.n, k)
     fb = ctx.bits_of(f.members)
-    common = reduce(and_, map(t_rows(f.ground.n, k, t), f.members))
+    common = reduce(and_, map(t_rows(f.ground.n, k, t).__getitem__, f.members))
     if fb & ~common:
         raise DomainError("input family is not t-intersecting")
     return ctx, fb, common
@@ -371,21 +401,21 @@ def saturate_t(f: Family, t: int) -> Family:
     until none is left.  A rejected k-set stays rejected as members only
     accumulate, so this adds what an ascending-mask sweep adds.  The rows of
     the members it adds are ANDed as they join; with the input members' rows,
-    built afresh, that AND certifies the fixed point: it holds no k-set
-    outside the family.  A row that came out wrong for an input member then
-    still shows.
+    built afresh from ``sets_above`` and not read from the ``t_rows`` table,
+    that AND certifies the fixed point: it holds no k-set outside the family.
+    A table row that is wrong for an input member then still shows.
     """
     ctx, fb, common = _t_layer(f, t, "saturate_t")
-    row = t_rows(f.ground.n, ctx.k, t)
+    rows = t_rows(f.ground.n, ctx.k, t)
     cand = common & ~fb
     added = ctx.full_bits
     while cand:
         low = cand & -cand
         fb |= low
-        r = row(ctx.masks[low.bit_length() - 1])
+        r = rows[ctx.masks[low.bit_length() - 1]]
         added &= r
         cand &= r & ~low
-    if reduce(and_, map(row, f.members), added) & ~fb:
+    if reduce(and_, map(rows.fresh, f.members), added) & ~fb:
         raise VerificationError("saturate_t did not reach a fixed point")
     return ctx.family_of(fb)
 

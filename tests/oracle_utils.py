@@ -283,6 +283,16 @@ def sample_t_draws(n, k, t, rng, max_members=3):
     return chosen
 
 
+def galois_pair(g, n, k):
+    """(T(G), T(T(G))) for a list G of k-set bitmasks, T(X) the k-sets meeting all of X.
+
+    Both sides by the pairwise definition over the layer, as sorted mask lists.
+    """
+    layer = _layer_masks(n, k)
+    tg = [h for h in layer if all(h & m for m in g)]
+    return tg, [h for h in layer if all(h & m for m in tg)]
+
+
 def saturate_loop(f, g, n, k):
     """Saturation of a pair of k-set bitmask lists, by alternation to a fixed point.
 

@@ -18,6 +18,7 @@ from crossfam.families import (
     wedge,
 )
 from crossfam import search
+from crossfam.acceptance import SEED
 from crossfam.constructions import four_star_pair, triangle_family
 from crossfam.formulas import eval_formula
 from crossfam.search import (
@@ -403,6 +404,15 @@ def test_prop21_lists_every_pair_at_k2_and_checks_each_draw_once(monkeypatch):
     ctx = layer_context(7, 3)
     draws = [sample_saturated_pair_bits(ctx, _trial_rng(7, i)) for i in range(300)]
     assert sorted(checked) == sorted(set(draws)) and len(checked) < 300
+
+
+def test_gate_samples_at_3_10_never_grow_the_g_side():
+    # c05's draws: |G| <= 3 = k <= n - k = 7, so each pair is (T(G), G)
+    ctx = layer_context(10, 3)
+    for i in range(300):
+        fb, gb = sample_saturated_pair_bits(ctx, _trial_rng(SEED, i))
+        assert gb.bit_count() <= 3
+        assert fb == ctx.meet_all(gb) and ctx.meet_all(fb) == gb
 
 
 def test_randomized_check_determinism():

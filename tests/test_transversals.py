@@ -33,6 +33,7 @@ from crossfam.transversals import (
     saturate_pair,
     saturate_t,
     sets_above,
+    t_rows,
     transversal_family,
     upward_closure,
     _ADJ_CAP,
@@ -158,6 +159,40 @@ def test_saturate_is_one_round(n, k, pairs):
         want_f, want_g = oracle.saturate_loop(f, g, n, k)
         assert ctx.closure(ctx.bits_of(g)) == (
             ctx.bits_of(want_f), ctx.bits_of(want_g))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closure_matches_the_pairwise_definition(n):
+    # every G with |G| <= k <= n - k, where the closure skips its second meet_all, up
+    # to relabeling: a nonempty G is a relabeling of one holding the layer's first set
+    # {1..k}, and relabeling maps closures to closures.  (8, 4), 54,810 such G, is sampled
+    rng = random.Random(f"closure:{n}")
+    for k in range(n // 2 + 1):
+        ctx = layer_context(n, k)
+        first, rest = ctx.masks[:1], ctx.masks[1:]
+        if (n, k) == (8, 4):
+            gs = [first + tuple(rng.sample(rest, rng.randint(0, 3))) for _ in range(300)]
+        else:
+            gs = [first + g for size in range(k) for g in combinations(rest, size)]
+        for g in [(), *gs]:
+            want = oracle.galois_pair(g, n, k)
+            assert ctx.closure(ctx.bits_of(g)) == tuple(map(ctx.bits_of, want))
+
+
+@pytest.mark.parametrize("n,k,g", [
+    # |G| = k + 1: no 2-set meets three disjoint pairs, so T(G) is empty
+    (6, 2, [(1, 2), (3, 4), (5, 6)]),
+    # n = 2k - 1: any two k-sets meet, so T(G) = T(T(G)) = the layer
+    (5, 3, [(1, 2, 3)]),
+    (7, 4, [(1, 2, 3, 4), (4, 5, 6, 7)]),
+    (3, 2, []),
+])
+def test_closure_outside_the_identity_takes_the_second_meet_all(n, k, g):
+    ctx = layer_context(n, k)
+    members = fam(g, n, k).members
+    got = ctx.closure(ctx.bits_of(members))
+    assert got == tuple(map(ctx.bits_of, oracle.galois_pair(members, n, k)))
+    assert got[1] == ctx.full_bits != ctx.bits_of(members)
 
 
 def test_saturate_pair_rejects_non_cross():
@@ -300,18 +335,38 @@ def test_t_rows_of_a_complete_graph_need_no_table(monkeypatch, n, k, t):
     # The context's own "meets" table reads sets_above, so it is built first
     ctx = layer_context(n, k)
     monkeypatch.setattr(transversals, "sets_above", None)
-    row = transversals.t_rows(n, k, t)
-    assert all(row(m) == ctx.full_bits for m in ctx.masks)
+    rows = t_rows(n, k, t)
+    assert all(rows[m] == rows.fresh(m) == ctx.full_bits for m in ctx.masks)
+
+
+@pytest.mark.parametrize("n,k,t", [(6, 2, 1), (8, 3, 2), (10, 4, 2), (14, 5, 2), (5, 3, 1),
+                                   (6, 4, 2), (7, 5, 3)])
+def test_t_rows_match_the_definition(n, k, t):
+    # (14, 5) is above the cap: only the rows asked for are built.  The last three
+    # have t <= 2k - n, where every row is the layer
+    masks = full_layer(GroundSet(n), k).members
+    rows = t_rows(n, k, t)
+    built = set(rows)
+    asked = masks if comb(n, k) <= _ADJ_CAP else random.Random(f"rows:{n}").sample(masks, 30)
+    for m in asked:
+        want = sum(1 << j for j, x in enumerate(masks) if (m & x).bit_count() >= t)
+        assert rows[m] == rows.fresh(m) == want
+    assert set(rows) == built | set(asked)
 
 
 def test_cold_layer_context_builds_its_layer_once():
-    # the context and the sets_above table its "meets" rows read share one build
-    for cached in (layer_context, sets_above, full_layer):
+    # the context, the sets_above table its "meets" rows read and the t = 1 row
+    # table share one build: adj holds the table's own rows
+    for cached in (layer_context, sets_above, full_layer, t_rows):
         cached.cache_clear()
     ctx = layer_context(9, 3)
     assert ctx.adj is not None
     assert full_layer.cache_info().misses == 1
     assert ctx.masks == full_layer(GroundSet(9), 3).members
+    rows = t_rows(9, 3, 1)
+    assert t_rows.cache_info().misses == sets_above.cache_info().misses == 1
+    assert len(rows) == len(ctx.masks)
+    assert all(a is rows[m] for a, m in zip(ctx.adj, ctx.masks))
 
 
 def _t_families(n, k, t, count):
@@ -365,22 +420,15 @@ def test_meet_all_above_adjacency_cap_matches_scan():
 
 
 def test_saturate_t_certificate_catches_a_dropped_row_bit(monkeypatch):
-    # {12, 13, 14} saturates to the star at 1; the first row asked for (that
-    # of 12) loses 15, so the greedy misses it and the fresh rows expose it
+    # {12, 13, 14} saturates to the star at 1.  The table row of 12, which the
+    # greedy reads, loses 15, so the greedy misses it; the certificate's rows,
+    # built afresh from sets_above, expose it.  monkeypatch puts the row back
     start = fam([(1, 2), (1, 3), (1, 4)], 6, k=2)
     assert saturate_t(start, 1) == star(6, 2, [1])
-    dropped = ~(1 << list(full_layer(GroundSet(6), 2).members).index(0b10001))
-    real, calls = transversals.t_rows, []
-
-    def drops_once(n, k, t):
-        row = real(n, k, t)
-
-        def dropping_row(m):
-            calls.append(m)
-            return row(m) & (dropped if len(calls) == 1 else -1)
-        return dropping_row
-
-    monkeypatch.setattr(transversals, "t_rows", drops_once)
+    rows = t_rows(6, 2, 1)
+    dropped = 1 << list(full_layer(GroundSet(6), 2).members).index(0b10001)
+    assert rows[0b11] & dropped
+    monkeypatch.setitem(rows, 0b11, rows[0b11] & ~dropped)
     with pytest.raises(VerificationError, match="fixed point"):
         saturate_t(start, 1)
 
