@@ -7,8 +7,10 @@ first and third quartile and sample count of every end-to-end metric that
 BENCHMARK.json names, and of every other timing it prints (the per-part
 seconds such as ``branching.frontier_s``, and ``wall_pass_s``).  It then runs
 ``crossfam verify-all --output`` once, in a fresh interpreter, and keeps each
-criterion's ``seconds`` and verdict from that report under ``criteria``.
-Nothing is timed here: perfbench and the report do the timing.  Run from
+criterion's ``seconds`` and verdict from that report under ``criteria``;
+the report times each criterion with ``time.perf_counter()`` and keeps 4
+decimals, so a change of 0.1 ms shows.  Nothing is timed here: perfbench
+and the report do the timing.  Run from
 anywhere, for example:
 
     python3 scripts/bench.py --label 13

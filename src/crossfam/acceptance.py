@@ -323,12 +323,12 @@ def _require_index(index: int) -> None:
 def run_criterion(index: int) -> CriterionResult:
     _require_index(index)
     name, fn = CRITERIA[index - 1]
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         passed, detail = fn()
     except Exception as exc:  # surface, do not hide, unexpected breakage
         passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-    return CriterionResult(index, name, passed, detail, time.time() - t0)
+    return CriterionResult(index, name, passed, detail, time.perf_counter() - t0)
 
 
 def run_all(indices=None) -> list[CriterionResult]:

@@ -223,7 +223,7 @@ def _cmd_verify_all(args) -> int:
     results = acceptance.run_all(indices)
     for res in results:
         print(res.line(), file=sys.stderr)
-    payload = [{**_criterion_row(r), "seconds": round(r.seconds, 2)} for r in results]
+    payload = [{**_criterion_row(r), "seconds": round(r.seconds, 4)} for r in results]
     _emit(_report(args, payload), args.output)
     return 0 if all(r.passed for r in results) else 1
 

@@ -22,6 +22,12 @@ search takes at most `budget` nodes, reports how many it took, and is
 exhaustive exactly when no candidate was left unscored; ``_best_pair``,
 ``_maximal_cliques`` and ``_best_family`` make that cut.
 
+The t-intersecting maximizer lists the maximal cliques of the "shares >= t"
+graph on the k-layer by Bron-Kerbosch (1973) with the pivot of Tomita,
+Tanaka & Takahashi (2006), whose scan stops at the first vertex with all
+of P as neighbours.  Each clique comes out as its ascending mask tuple,
+the key ``_best_family`` scores and ``Family`` accepts.
+
 Every count of |F wedge G| or |I(F, G)| here goes through the one kernel
 ``families._intersections``; ``brute_count`` alone keeps its own loops, as
 the independent oracle.  Antichains of 2^[n] are walked by one depth-first
@@ -286,48 +292,65 @@ def _clique_layer(n: int, k: int) -> LayerContext:
 
 
 def _maximal_cliques(ctx: LayerContext, t: int, budget: int | None):
-    """Layer bitsets of maximal t-intersecting subfamilies, node count, completeness.
+    """Maximal t-intersecting subfamilies as ascending mask tuples, node count, completeness.
 
     Bron-Kerbosch with pivoting on an explicit stack, so a clique of
-    thousands of k-sets needs no recursion.  A node's children are pushed
-    in reverse, so the lowest candidate is expanded first, as in the
-    recursive form.
+    thousands of k-sets needs no recursion.  A stack entry carries R as the
+    member masks added so far; a maximal clique is emitted sorted, the key
+    ``_best_family`` scores and ``Family`` accepts.  The pivot is the lowest
+    u in P | X with the most neighbours in P (Tomita, Tanaka & Takahashi,
+    2006); the scan stops at the first u with all of P as neighbours, since
+    no later u has more and ties keep the earlier u.  A node with P empty
+    and X not is a dead end: it is counted but needs no pivot.  A node's
+    children are pushed highest candidate first, so the lowest is expanded
+    first, as in the recursive form; a child's P has lost, and its X has
+    gained, the lower candidates, its elder siblings.
     """
     rows = t_rows(ctx.ground.n, ctx.k, t)
-    neigh = [rows[mask] & ~(1 << i) for i, mask in enumerate(ctx.masks)]
+    masks = ctx.masks
+    neigh = [rows[mask] & ~(1 << i) for i, mask in enumerate(masks)]
     out = []
     nodes = 0
-    stack = [(0, ctx.full_bits, 0)]
+    stack = [((), ctx.full_bits, 0)]
+    push = stack.append
     while stack:
         if nodes == budget:
             return out, nodes, False
-        rb, pb, xb = stack.pop()
+        r, pb, xb = stack.pop()
         nodes += 1
-        if pb == 0 and xb == 0:
-            out.append(rb)
+        if not pb:
+            if not xb:
+                out.append(tuple(sorted(r)))
             continue
-        pivot = max(elements_of(pb | xb), key=lambda e: (pb & neigh[e - 1]).bit_count()) - 1
+        size, most, b = pb.bit_count(), -1, pb | xb
+        while b:
+            low = b & -b
+            u = low.bit_length() - 1
+            c = (pb & neigh[u]).bit_count()
+            if c > most:
+                most, pivot = c, u
+                if c == size:
+                    break
+            b ^= low
         cand = pb & ~neigh[pivot]
-        children = []
         while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            children.append((rb | low, pb & neigh[v], xb & neigh[v]))
-            pb ^= low
-            xb |= low
-            cand ^= low
-        stack += reversed(children)
+            v = cand.bit_length() - 1
+            cand ^= 1 << v
+            # the candidates left in cand are the siblings expanded before v
+            nv = neigh[v]
+            push((r + (masks[v],), pb & ~cand & nv, (xb | cand) & nv))
     return out, nodes, True
 
 
 def maximal_t_intersecting_families(n: int, k: int, t: int):
     """All maximal t-intersecting k-uniform families on [n], as Families, and nodes.
 
-    Enumerated as maximal cliques of the compatibility graph with pivoting.
+    Enumerated as maximal cliques of the compatibility graph with pivoting;
+    each clique comes out as its ascending mask tuple.
     """
     ctx = _clique_layer(n, k)
     cliques, nodes, _ = _maximal_cliques(ctx, t, None)
-    return [ctx.family_of(rb) for rb in cliques], nodes
+    return [Family(key, ctx.ground, k) for key in cliques], nodes
 
 
 def _maximize_t_intersecting(p: SearchProblem) -> SearchResult:
@@ -336,8 +359,7 @@ def _maximize_t_intersecting(p: SearchProblem) -> SearchResult:
     ctx = _clique_layer(p.n, p.k)
     cliques, nodes, complete = _maximal_cliques(
         ctx, p.t, p.budget if p.budget is not None else 10 ** 6)
-    keys = map(ctx.masks_of, cliques)
-    value, witness, _, _ = _best_family(keys, ctx.ground, p.k, None)
+    value, witness, _, _ = _best_family(cliques, ctx.ground, p.k, None)
     return SearchResult(value, witness, nodes, complete)
 
 

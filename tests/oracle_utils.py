@@ -333,17 +333,19 @@ def recursive_cliques(n, k, t):
     >= t elements.  The pivot is the first vertex of P u X (in index order)
     with the most neighbours in P, and the candidates outside its
     neighbourhood are expanded lowest first.  Returns the cliques as vertex
-    bitsets, in the order found, and the number of calls.
+    bitsets, in the order found, the number of calls, and for each clique
+    the number of the call that found it (the first call is 1).
     """
     layer = _layer_masks(n, k)
     neigh = [sum(1 << j for j, b in enumerate(layer) if b != a and (a & b).bit_count() >= t)
              for a in layer]
-    out, calls = [], [0]
+    out, calls, found_at = [], [0], []
 
     def bk(r, p, x):
         calls[0] += 1
         if not p and not x:
             out.append(r)
+            found_at.append(calls[0])
             return
         pool = [u for u in range(len(layer)) if (p | x) >> u & 1]
         pivot = max(pool, key=lambda u: (p & neigh[u]).bit_count())
@@ -354,7 +356,7 @@ def recursive_cliques(n, k, t):
                 x |= 1 << v
 
     bk(0, (1 << len(layer)) - 1, 0)
-    return out, calls[0]
+    return out, calls[0], found_at
 
 
 def recursive_antichains(n):

@@ -9,7 +9,7 @@ from math import comb
 import pytest
 
 import crossfam as cf
-from crossfam import __version__, cli
+from crossfam import __version__, acceptance, cli
 from crossfam.cli import main
 from crossfam.families import (Family, GroundSet, NodeLimitExceeded, VerificationError,
                                families_from_text, families_to_text, family_from_text)
@@ -192,7 +192,19 @@ def test_verify_all_subset(capsys):
     data = json.loads(out)
     assert [r["criterion"] for r in data["result"]] == [1, 9]
     assert all(r["passed"] for r in data["result"])
+    assert all(r["seconds"] == round(r["seconds"], 4) for r in data["result"])
     assert "criterion  1 [PASS]" in err
+
+
+def test_verify_all_keeps_four_decimals_of_perf_counter_seconds(capsys, monkeypatch):
+    # 0.12 ms would read 0.0 at two decimals
+    clock = iter([10.0, 10.00012])
+    monkeypatch.setattr(acceptance.time, "perf_counter", lambda: next(clock))
+    code, out, err = run_cli(capsys, "verify-all", "--criteria", "1")
+    assert code == 0
+    [row] = json.loads(out)["result"]
+    assert row["seconds"] == 0.0001
+    assert "(0.0s)" in err
 
 
 def _four_star_bases():
@@ -571,6 +583,8 @@ GOLDEN_REPORTS = [
      "eeac513163946792a29f40113b06d356af0ad0ad2b42c365f62fb6bedc94eb1a"),
     ("verify-all --criteria 6,12",
      "c3e80c9c6b541232e40633b0daf5ba313ff401144aa2fbd40d7f346f1e1f2ad5"),
+    ("search --objective I_t_intersecting --n 8 --k 3 --t 1",
+     "fb8967b19c3c0cb20da4296552b69e3e583c2eaec3a0eac47a440299967f7071"),
 ]
 
 

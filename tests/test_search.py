@@ -183,9 +183,23 @@ def test_maximal_cliques_of_large_k_layers():
 
 @pytest.mark.parametrize("n,k,t", [(6, 2, 1), (7, 3, 1), (8, 3, 1), (8, 3, 2), (7, 4, 2)])
 def test_maximal_cliques_match_recursive_oracle(n, k, t):
-    # the explicit stack visits the nodes of the recursion, in its order
-    want = (*oracle.recursive_cliques(n, k, t), True)
-    assert _maximal_cliques(layer_context(n, k), t, None) == want
+    # the explicit stack visits the nodes of the recursion, in its order;
+    # the oracle's vertex bitsets become the ascending mask tuples emitted
+    ctx = layer_context(n, k)
+    cliques, calls, _ = oracle.recursive_cliques(n, k, t)
+    assert _maximal_cliques(ctx, t, None) == ([ctx.masks_of(rb) for rb in cliques], calls, True)
+
+
+def test_maximal_cliques_budget_cuts_the_unbudgeted_walk():
+    # the pivot's early stop and the dead-end skip leave every node a node:
+    # b nodes give the cliques the recursion finds in its first b calls
+    ctx = layer_context(7, 3)
+    full, total, complete = _maximal_cliques(ctx, 1, None)
+    _, calls, found_at = oracle.recursive_cliques(7, 3, 1)
+    assert complete and total == calls > 2
+    for b in (1, total // 2, total - 1):
+        want = full[:sum(at <= b for at in found_at)]
+        assert _maximal_cliques(ctx, 1, b) == (want, b, False)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
