@@ -346,9 +346,12 @@ def families_from_text(text: str) -> list[Family]:
         m = _HEADER_RE.match(line.strip())
         if m:
             flush()
-            ground = GroundSet(int(m.group(1)))
-            k = None if m.group(2) == "*" else int(m.group(2))
-            masks = []
+            try:  # int() refuses more digits than sys.get_int_max_str_digits()
+                n = int(m.group(1))
+                k = None if m.group(2) == "*" else int(m.group(2))
+            except ValueError:
+                raise DomainError("a header integer has too many digits to read") from None
+            ground, masks = GroundSet(n), []
         else:
             if ground is None:
                 raise DomainError("family text must start with an 'n=<n> k=<k|*>' header")

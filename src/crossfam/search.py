@@ -8,7 +8,8 @@ tie-breaking therefore never has to enumerate permutations.
 
 One closure engine serves two symmetric relations, each a LayerContext
 built by its one builder, ``LayerContext.from_rows``: "meets" on the
-k-layer (the cross objectives) and strict incomparability on 2^[n]
+k-layer (the cross objectives), whose rows are the layer's t = 1 ``t_rows``
+table read by mask, and strict incomparability on 2^[n]
 (``_subset_context``, cross-Sperner and the antichain walk).  Let
 T(X) be the sets related to every member of X.  For a fixed F the best
 partner is T(F), and the closure T(T(F)) of F keeps that partner while
@@ -182,23 +183,24 @@ def _subset_context(n: int) -> LayerContext:
             else:
                 above |= above << (1 << i)
         return full ^ (below | above)
-    return LayerContext.from_rows(GroundSet(n), None, range(num), row)
+    return LayerContext.from_rows(GroundSet(n), None, range(num), tuple(map(row, range(num))))
 
 
 def _closed_sets(ctx: LayerContext):
     """Every bitset X = T(T(X)), T(X) = ``ctx.meet_all(X)``.
 
     The closed sets are the image of T: the full universe T(0) closed under
-    T(X) & adj[i] = T(X + i).  On a k-layer with n = 2k, T(X) is the layer
+    T(X) & rows[m] = T(X + m).  On a k-layer with n = 2k, T(X) is the layer
     minus the complements of X, so every X is closed.
     """
     if ctx.k is not None and ctx.ground.n == 2 * ctx.k:
         return range(1 << len(ctx.masks))
+    rows = [ctx.rows[m] for m in ctx.masks]
     seen = {ctx.full_bits}
     stack = [ctx.full_bits]
     while stack:
         x = stack.pop()
-        for a in ctx.adj:
+        for a in rows:
             y = x & a
             if y not in seen:
                 seen.add(y)
@@ -382,7 +384,7 @@ def _antichains(n: int):
         while b:
             low = b & -b
             s = low.bit_length() - 1
-            children.append((allowed & ctx.adj[s] & ~((low << 1) - 1), chosen + (s,)))
+            children.append((allowed & ctx.rows[s] & ~((low << 1) - 1), chosen + (s,)))
             b ^= low
         stack += reversed(children)
 
@@ -667,14 +669,17 @@ def randomized_check(property_name: str, params: dict, trials: int,
 
 # --- saturated-pair closure enumeration (small k-uniform layers) ------------
 
+_PAIRS_LAYER_CAP = 1500  # closed sets are listed on layers of at most this many k-sets
+
+
 def all_saturated_pairs(n: int, k: int):
     """Every saturated cross-intersecting pair on the (n, k) layer.
 
     The map G -> (all k-sets meeting every member of G) is an antitone
     Galois map T, so saturated pairs are exactly (X, T(X)) for the closed X
-    that ``_closed_sets`` lists.
+    that ``_closed_sets`` lists, on a layer of at most _PAIRS_LAYER_CAP k-sets.
     """
-    ctx = layer_context(n, k)
-    if ctx.adj is None:
+    if comb(n, k) > _PAIRS_LAYER_CAP:
         raise DomainError(f"layer C({n},{k}) too large for closure enumeration")
+    ctx = layer_context(n, k)
     return ctx, [(x, ctx.meet_all(x)) for x in _closed_sets(ctx)]

@@ -2,13 +2,13 @@
 
 The exact searches here (covering number, matching number) are plain
 branch-and-bound over bitmasks; instances are tiny by design.  Saturation
-of k-uniform pairs runs on a per-(n, k) layer context that precomputes,
-for every k-set, the bitset of k-sets meeting it, so that "all k-sets
-meeting every member of G" is a handful of big-integer ANDs.  Those rows are
-the t = 1 instance of the one row table ``t_rows(n, k, t)``: a k-set's row,
-the k-sets sharing >= t with it, is the OR of the layer bitsets
-``sets_above(n, k, t)`` of its t-subsets, built on first use and kept for the
-process.  ``sets_above`` is C(n, t) * C(n, k) bits: under 100 KB at every layer run.
+of k-uniform pairs runs on a per-(n, k) layer context whose rows, each
+k-set's bitset of the k-sets meeting it, make "all k-sets meeting every
+member of G" a handful of big-integer ANDs.  The context reads those rows
+by mask from the t = 1 instance of the one row table ``t_rows(n, k, t)``: a
+k-set's row, the k-sets sharing >= t with it, is the OR of the layer bitsets
+``sets_above(n, k, t)`` of its t-subsets, built when first read and kept for
+the process.  ``sets_above`` is C(n, t) * C(n, k) bits: under 100 KB at every layer run.
 Each hypothesis is decided on these bitsets: (F, G) cross-intersects iff F lies
 in T(G), and f is t-intersecting iff it lies in the AND of its members' rows.
 Bases skip every set with a k-superset outside the saturated family, read off
@@ -38,9 +38,6 @@ from .families import (
     mask_of,
     _require_same_ground,
 )
-
-# adjacency tables are only built for layers up to this many k-sets
-_ADJ_CAP = 1500
 
 
 def transversal_family(f: Family, t: int, max_size: int) -> Family:
@@ -207,28 +204,28 @@ def upward_closure(b: Family, k: int) -> Family:
 
 @dataclass(frozen=True)
 class LayerContext:
-    """Sets of [n] plus, per set, the bitset of the sets related to it.
+    """Sets of [n] plus ``rows``: set mask -> bitset of the sets related to it.
 
     ``from_rows`` is the one builder.  A k-layer (``layer_context``) relates
-    k-sets that meet; its ``adj`` is None above ``_ADJ_CAP`` sets.  2^[n]
-    (``search._subset_context``, k None, set i is mask i) relates strictly
-    incomparable sets.  Both relations are symmetric, so T = ``meet_all`` is
-    an antitone Galois map.
+    k-sets that meet; its rows are the shared ``t_rows(n, k, 1)`` table, each
+    built when first read.  2^[n] (``search._subset_context``, k None, set i
+    is mask i) relates strictly incomparable sets; its rows are a tuple.  Both
+    relations are symmetric, so T = ``meet_all`` is an antitone Galois map.
     """
 
     ground: GroundSet
     k: int | None
     masks: tuple[int, ...]
     index: dict
-    adj: tuple[int, ...] | None
+    rows: dict[int, int] | tuple[int, ...]
     full_bits: int
 
     @classmethod
-    def from_rows(cls, ground: GroundSet, k: int | None, masks, row) -> "LayerContext":
-        """The ascending sets `masks`, m related to the sets of row(m); no table if row is None."""
+    def from_rows(cls, ground: GroundSet, k: int | None, masks, rows) -> "LayerContext":
+        """The ascending sets `masks`, m related to the sets of rows[m]."""
         masks = tuple(masks)
-        return cls(ground, k, masks, {m: i for i, m in enumerate(masks)},
-                   None if row is None else tuple(map(row, masks)), (1 << len(masks)) - 1)
+        return cls(ground, k, masks, {m: i for i, m in enumerate(masks)}, rows,
+                   (1 << len(masks)) - 1)
 
     def bits_of(self, masks) -> int:
         bits = 0
@@ -246,15 +243,12 @@ class LayerContext:
 
     def meet_all(self, bits: int) -> int:
         """T(bits): the bitset of the sets related to every set selected by `bits`."""
-        out = self.full_bits
-        if self.adj is not None:
-            while bits and out:
-                low = bits & -bits
-                out &= self.adj[low.bit_length() - 1]
-                bits ^= low
-            return out
-        rows = t_rows(self.ground.n, self.k, 1)
-        return reduce(and_, map(rows.__getitem__, self.masks_of(bits)), out)
+        out, masks, rows = self.full_bits, self.masks, self.rows
+        while bits and out:
+            low = bits & -bits
+            out &= rows[masks[low.bit_length() - 1]]
+            bits ^= low
+        return out
 
     def closure(self, gb: int) -> tuple[int, int]:
         """(T(G), T(T(G))): the fixed point of F = T(G), then G = T(F), started from gb.
@@ -278,11 +272,9 @@ class LayerContext:
 
 @lru_cache(maxsize=None)
 def layer_context(n: int, k: int) -> LayerContext:
+    """The k-sets of [n], related when they meet: rows ``t_rows(n, k, 1)``, built as read."""
     ground = GroundSet(n)
-    masks = full_layer(ground, k).members
-    # a k-set meets exactly the k-sets above one of its elements: t_rows at t = 1
-    row = t_rows(n, k, 1).__getitem__ if len(masks) <= _ADJ_CAP else None
-    return LayerContext.from_rows(ground, k, masks, row)
+    return LayerContext.from_rows(ground, k, full_layer(ground, k).members, t_rows(n, k, 1))
 
 
 def _bits(m: int) -> list[int]:
@@ -341,10 +333,9 @@ def t_rows(n: int, k: int, t: int) -> _RowTable:
 
     Row m ORs the sets_above(n, k, t) rows of m's C(k, t) t-subsets; at t <= 2k - n
     every row is the layer and sets_above is not read.  Each row is built the first
-    time it is asked for and kept, so the table holds only the rows used: all of
-    them once ``layer_context`` takes its "meets" rows (t = 1) from here, under
-    ``_ADJ_CAP``, and above it only those ``meet_all`` reads.  Shared, not to be
-    changed; ``fresh`` rebuilds a row without it.
+    time it is asked for and kept, so the table holds only the rows used.  At t = 1
+    it is the rows of ``layer_context(n, k)``, which ``meet_all`` reads by mask.
+    Shared, not to be changed; ``fresh`` rebuilds a row without it.
     """
     return _RowTable(n, k, t)
 

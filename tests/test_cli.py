@@ -146,6 +146,10 @@ def test_branch_malformed_input_exit_2(capsys, tmp_path):
 @pytest.mark.parametrize("content, message", [
     (b"\xff\xfe", "is not UTF-8 text"),
     (None, "No such file or directory"),
+    # a 5,000-digit header integer: over int()'s digit limit, or out of range on an
+    # interpreter without one, so the text is not pinned
+    pytest.param(b"n=" + b"9" * 5000 + b" k=2\n1,2\n", "", id="n_header_digits"),
+    pytest.param(b"n=6 k=" + b"9" * 5000 + b"\n1,2\n", "", id="k_header_digits"),
 ])
 def test_branch_unreadable_input_exit_2(capsys, tmp_path, content, message):
     path = tmp_path / "basis.fam"

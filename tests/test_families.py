@@ -286,6 +286,14 @@ def test_text_format_errors():
         family_from_text("n=4 k=*\n1,2\nn=4 k=*\n1\n")
 
 
+@pytest.mark.parametrize("header", ["n=" + "9" * 5000 + " k=2", "n=6 k=" + "9" * 5000],
+                         ids=["n", "k"])
+def test_text_format_rejects_a_header_integer_of_5000_digits(header):
+    # over int()'s 4,300-digit limit, or out of range on an interpreter without one
+    with pytest.raises(DomainError):
+        families_from_text(header + "\n1,2\n")
+
+
 @pytest.mark.parametrize("line,reason", [
     ("1,x", "neither"), ("hex:zz", "neither"), ("1,,2", "neither"),
     ("0,1", "outside"), ("-1,2", "outside"), ("2,5", "outside"), ("hex:10", "outside"),

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 from math import comb
 
@@ -254,21 +255,20 @@ def _incomparable_to_all(xs, n):
 def test_subset_context_matches_pairwise_definition(n):
     ctx = _subset_context(n)
     assert ctx.masks == tuple(range(1 << n))
-    assert ctx.adj == tuple(sum(1 << u for u in _incomparable_to_all([s], n))
-                            for s in range(1 << n))
+    assert ctx.rows == tuple(sum(1 << u for u in _incomparable_to_all([s], n))
+                             for s in range(1 << n))
 
 
-# one k-layer with a "meets" table, one above _ADJ_CAP without, and 2^[4]
-@pytest.mark.parametrize("context, has_table", [
-    (lambda: layer_context(8, 3), True),
-    (lambda: layer_context(14, 5), False),
-    (lambda: _subset_context(4), True),
+# two k-layers, one of more k-sets than all_saturated_pairs lists, and 2^[4]
+@pytest.mark.parametrize("context", [
+    lambda: layer_context(8, 3),
+    lambda: layer_context(14, 5),
+    lambda: _subset_context(4),
 ], ids=["layer_8_3", "layer_14_5", "subsets_4"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_masks_of_inverts_bits_of(context, has_table, data):
+def test_masks_of_inverts_bits_of(context, data):
     ctx = context()
-    assert (ctx.adj is not None) == has_table
     ms = data.draw(st.sets(st.sampled_from(ctx.masks), max_size=40))
     bits = ctx.bits_of(ms)
     assert ctx.masks_of(bits) == tuple(sorted(ms))
@@ -443,6 +443,26 @@ def test_all_saturated_pairs_small():
         assert ctx.meet_all(fb) == gb
     star_bits = ctx.bits_of(fam([(1, 2), (1, 3), (1, 4), (1, 5)], 5).members)
     assert (star_bits, star_bits) in pairs
+
+
+@pytest.mark.parametrize("n,k", [(14, 5), (56, 2)])
+def test_all_saturated_pairs_refuses_a_large_layer(n, k):
+    # 2,002 and 1,540 k-sets, over the 1,500 whose closed sets are listed
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=rf"^layer C\({n},{k}\) too large"):
+        all_saturated_pairs(n, k)
+    assert time.perf_counter() - start < 1
+
+
+def test_all_saturated_pairs_refuses_before_building_the_layer(monkeypatch):
+    # C(55, 2) = 1,485 k-sets are listed and C(56, 2) = 1,540 are not; no layer is built
+    def build(n, k):
+        raise LookupError(f"built ({n}, {k})")
+    monkeypatch.setattr(search, "layer_context", build)
+    with pytest.raises(LookupError, match=r"^built \(55, 2\)$"):
+        all_saturated_pairs(55, 2)
+    with pytest.raises(DomainError, match=r"^layer C\(56,2\) too large"):
+        all_saturated_pairs(56, 2)
 
 
 def test_search_result_json():

@@ -19,7 +19,7 @@ from crossfam.families import (
     is_t_intersecting,
 )
 from crossfam.constructions import four_core_pair, four_star_pair, star, triangle_family, window_family
-from crossfam.search import sample_saturated_pair, sample_saturated_t_family
+from crossfam.search import _PAIRS_LAYER_CAP, sample_saturated_pair, sample_saturated_t_family
 from crossfam.transversals import (
     basis_pair,
     basis_t,
@@ -36,7 +36,6 @@ from crossfam.transversals import (
     t_rows,
     transversal_family,
     upward_closure,
-    _ADJ_CAP,
 )
 
 import oracle_utils as oracle
@@ -148,10 +147,11 @@ def test_saturate_pair_matching_grows_to_cycle():
 @pytest.mark.parametrize("n,k,pairs", [(6, 2, 60), (8, 2, 60), (10, 3, 40), (12, 4, 20),
                                        (14, 5, 8)])
 def test_saturate_is_one_round(n, k, pairs):
-    # any pair, cross-intersecting or not, empty sides included; (14, 5) has no adj table.
-    # The oracle alternates from (f, g); the closure reads g alone
+    # any pair, cross-intersecting or not, empty sides included; every layer reads
+    # its rows from the t = 1 table.  The oracle alternates from (f, g); the closure
+    # reads g alone
     ctx = layer_context(n, k)
-    assert (ctx.adj is None) == (comb(n, k) > _ADJ_CAP)
+    assert ctx.rows is t_rows(n, k, 1)
     for i in range(pairs):
         rng = random.Random(f"saturate:{n}:{k}:{i}")
         f = rng.sample(ctx.masks, rng.randint(0, 3))
@@ -342,12 +342,12 @@ def test_t_rows_of_a_complete_graph_need_no_table(monkeypatch, n, k, t):
 @pytest.mark.parametrize("n,k,t", [(6, 2, 1), (8, 3, 2), (10, 4, 2), (14, 5, 2), (5, 3, 1),
                                    (6, 4, 2), (7, 5, 3)])
 def test_t_rows_match_the_definition(n, k, t):
-    # (14, 5) is above the cap: only the rows asked for are built.  The last three
-    # have t <= 2k - n, where every row is the layer
+    # (14, 5), 2,002 k-sets, is sampled: only the rows asked for are built.  The last
+    # three have t <= 2k - n, where every row is the layer
     masks = full_layer(GroundSet(n), k).members
     rows = t_rows(n, k, t)
     built = set(rows)
-    asked = masks if comb(n, k) <= _ADJ_CAP else random.Random(f"rows:{n}").sample(masks, 30)
+    asked = masks if n < 14 else random.Random(f"rows:{n}").sample(masks, 30)
     for m in asked:
         want = sum(1 << j for j, x in enumerate(masks) if (m & x).bit_count() >= t)
         assert rows[m] == rows.fresh(m) == want
@@ -356,17 +356,21 @@ def test_t_rows_match_the_definition(n, k, t):
 
 def test_cold_layer_context_builds_its_layer_once():
     # the context, the sets_above table its "meets" rows read and the t = 1 row
-    # table share one build: adj holds the table's own rows
+    # table share one build; the context's rows are that table, and a row is
+    # built only when meet_all reads it
     for cached in (layer_context, sets_above, full_layer, t_rows):
         cached.cache_clear()
     ctx = layer_context(9, 3)
-    assert ctx.adj is not None
     assert full_layer.cache_info().misses == 1
     assert ctx.masks == full_layer(GroundSet(9), 3).members
     rows = t_rows(9, 3, 1)
+    assert ctx.rows is rows
     assert t_rows.cache_info().misses == sets_above.cache_info().misses == 1
-    assert len(rows) == len(ctx.masks)
-    assert all(a is rows[m] for a, m in zip(ctx.adj, ctx.masks))
+    assert len(rows) == 0
+    picked = (0, 5, 83)
+    ctx.meet_all(sum(1 << i for i in picked))
+    assert set(rows) == {ctx.masks[i] for i in picked}
+    assert sets_above.cache_info().misses == 1
 
 
 def _t_families(n, k, t, count):
@@ -391,7 +395,8 @@ def test_saturate_t_single_members_match_sweep(n, k, t):
 
 
 def test_saturate_t_matches_sweep_above_adjacency_cap():
-    assert comb(14, 5) > _ADJ_CAP
+    # 2,002 k-sets: more than all_saturated_pairs lists
+    assert comb(14, 5) > _PAIRS_LAYER_CAP
     for members in _t_families(14, 5, 2, 2):
         got = saturate_t(Family.from_masks(members, GroundSet(14), 5), 2)
         assert list(got.members) == oracle.saturate_t_sweep(members, 14, 5, 2)
@@ -403,13 +408,12 @@ def test_layer_adjacency_matches_pairwise_definition(n, k):
     # k = 0: the empty set meets nothing; k = n: one set meeting itself;
     # n = 2k: complements are the only non-neighbours; n > 2k: the general case
     ctx = layer_context(n, k)
-    assert ctx.adj == tuple(sum(1 << j for j, b in enumerate(ctx.masks) if a & b)
-                            for a in ctx.masks)
+    assert [ctx.rows[a] for a in ctx.masks] == [
+        sum(1 << j for j, b in enumerate(ctx.masks) if a & b) for a in ctx.masks]
 
 
 def test_meet_all_above_adjacency_cap_matches_scan():
     ctx = layer_context(14, 5)
-    assert ctx.adj is None
     rng = random.Random("meet_all:14:5")
     for _ in range(5):
         picked = rng.sample(range(len(ctx.masks)), rng.randint(1, 4))
