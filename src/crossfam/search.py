@@ -1,10 +1,14 @@
 """Brute-force oracles and exhaustive maximizers over small ground sets.
 
-The exhaustive searches enumerate a label-complete space (every relabeling
-of a candidate is itself enumerated), so the maximizer with the smallest
-raw member-tuple key is automatically in canonical form: its key equals the
-minimum over all ground-set permutations of any maximizer's key.  Witness
-tie-breaking therefore never has to enumerate permutations.
+Every exhaustive search scores a space that holds the maximizer with the
+smallest raw member-tuple key, so its witness is in canonical form: its key
+equals the minimum over all ground-set permutations of any maximizer's key.
+Witness tie-breaking therefore never has to enumerate permutations.  The
+cross, antichain and cross-Sperner spaces are label-complete (every
+relabeling of a candidate is itself enumerated).  The t-intersecting space,
+the maximal cliques holding {1..k}, is not: S_n is transitive on the
+k-layer, so every maximizer relabels to one that holds {1..k}, the smallest
+mask, and a key that starts with that mask is below every key without it.
 
 One closure engine serves two symmetric relations, each a LayerContext
 built by its one builder, ``LayerContext.from_rows``: "meets" on the
@@ -20,14 +24,16 @@ closed sets to closed sets, so that space is label-complete too.  On a
 layer with n = 2k every family is closed and all 2^C(n,k) are scored.  The
 n = 5 cross-Sperner sampler feeds the same scorer its random draws.  Every
 search takes at most `budget` nodes, reports how many it took, and is
-exhaustive exactly when no candidate was left unscored; ``_best_pair``,
-``_maximal_cliques`` and ``_best_family`` make that cut.
+exhaustive exactly when no candidate was left unscored; ``_best_pair``
+and ``_best_family`` make that cut.
 
-The t-intersecting maximizer lists the maximal cliques of the "shares >= t"
+The t-intersecting maximizer walks the maximal cliques of the "shares >= t"
 graph on the k-layer by Bron-Kerbosch (1973) with the pivot of Tomita,
 Tanaka & Takahashi (2006), whose scan stops at the first vertex with all
-of P as neighbours.  Each clique comes out as its ascending mask tuple,
-the key ``_best_family`` scores and ``Family`` accepts.
+of P as neighbours, rooted at the first k-set.  Each clique comes out as
+its ascending mask tuple, the key ``_best_family`` scores as it comes and
+``Family`` accepts; ``maximal_t_intersecting_families`` lists them all
+from the unrooted walk.
 
 Every count of |F wedge G| or |I(F, G)| here goes through the one kernel
 ``families._intersections``; ``brute_count`` alone keeps its own loops, as
@@ -245,9 +251,11 @@ def _best_pair(ctx: LayerContext, draws, distinct: bool, budget: int | None,
 def _best_family(keys, ground: GroundSet, k: int | None, budget: int | None):
     """Value, witness, node count and completeness of the best family in `keys`.
 
-    A key lists masks ascending and scores |I(F, F)|.  c members have at most
-    C(c, 2) distinct intersections, so a key with C(c, 2) below the incumbent's
-    value is pruned.  The smallest key wins ties; with none scored, the empty family.
+    `keys` has one entry per search node: a key, listing masks ascending and
+    scoring |I(F, F)|, or None for a node with no family.  c members have at
+    most C(c, 2) distinct intersections, so a key with C(c, 2) below the
+    incumbent's value is pruned.  The smallest key wins ties; with none
+    scored, the empty family.
     """
     best_val, best_key, nodes, complete = 0, None, 0, True
     for key in keys:
@@ -255,7 +263,7 @@ def _best_family(keys, ground: GroundSet, k: int | None, budget: int | None):
             complete = False
             break
         nodes += 1
-        if comb(len(key), 2) < best_val:
+        if key is None or comb(len(key), 2) < best_val:
             continue
         val = len(_intersections(key, key, distinct=True))
         if best_key is None or val > best_val or (val == best_val and key < best_key):
@@ -293,37 +301,41 @@ def _clique_layer(n: int, k: int) -> LayerContext:
     return layer_context(n, k)
 
 
-def _maximal_cliques(ctx: LayerContext, t: int, budget: int | None):
-    """Maximal t-intersecting subfamilies as ascending mask tuples, node count, completeness.
+def _maximal_cliques(ctx: LayerContext, t: int, root: int | None):
+    """Bron-Kerbosch on the "shares >= t" graph: one entry per node, depth first.
 
-    Bron-Kerbosch with pivoting on an explicit stack, so a clique of
-    thousands of k-sets needs no recursion.  A stack entry carries R as the
-    member masks added so far; a maximal clique is emitted sorted, the key
-    ``_best_family`` scores and ``Family`` accepts.  The pivot is the lowest
-    u in P | X with the most neighbours in P (Tomita, Tanaka & Takahashi,
-    2006); the scan stops at the first u with all of P as neighbours, since
-    no later u has more and ties keep the earlier u.  A node with P empty
-    and X not is a dead end: it is counted but needs no pivot.  A node's
-    children are pushed highest candidate first, so the lowest is expanded
-    first, as in the recursive form; a child's P has lost, and its X has
-    gained, the lower candidates, its elder siblings.
+    A node whose R is a maximal t-intersecting subfamily yields R as its
+    ascending mask tuple, the key ``_best_family`` scores and ``Family``
+    accepts; every other node yields None.  With `root` None the walk starts
+    at R = {}, P = the layer, X = {} and reaches every maximal clique; with
+    a position `root` in ``ctx.masks`` it starts at R = {masks[root]},
+    P = its neighbours, X = {}, and reaches exactly the maximal cliques that
+    hold masks[root].
+
+    An explicit stack, so a clique of thousands of k-sets needs no
+    recursion.  The pivot is the lowest u in P | X with the most neighbours
+    in P (Tomita, Tanaka & Takahashi, 2006); the scan stops at the first u
+    with all of P as neighbours, since no later u has more and ties keep the
+    earlier u.  A node with P empty and X not is a dead end: it is a node
+    but needs no pivot.  A node's children are pushed highest candidate
+    first, so the lowest is expanded first, as in the recursive form; a
+    child's P has lost, and its X has gained, the lower candidates, its
+    elder siblings.
     """
     rows = t_rows(ctx.ground.n, ctx.k, t)
     masks = ctx.masks
     neigh = [rows[mask] & ~(1 << i) for i, mask in enumerate(masks)]
-    out = []
-    nodes = 0
-    stack = [((), ctx.full_bits, 0)]
+    if root is None:
+        stack = [((), ctx.full_bits, 0)]
+    else:
+        stack = [((masks[root],), neigh[root], 0)]
     push = stack.append
     while stack:
-        if nodes == budget:
-            return out, nodes, False
         r, pb, xb = stack.pop()
-        nodes += 1
         if not pb:
-            if not xb:
-                out.append(tuple(sorted(r)))
+            yield None if xb else tuple(sorted(r))
             continue
+        yield None
         size, most, b = pb.bit_count(), -1, pb | xb
         while b:
             low = b & -b
@@ -341,28 +353,33 @@ def _maximal_cliques(ctx: LayerContext, t: int, budget: int | None):
             # the candidates left in cand are the siblings expanded before v
             nv = neigh[v]
             push((r + (masks[v],), pb & ~cand & nv, (xb | cand) & nv))
-    return out, nodes, True
 
 
 def maximal_t_intersecting_families(n: int, k: int, t: int):
     """All maximal t-intersecting k-uniform families on [n], as Families, and nodes.
 
-    Enumerated as maximal cliques of the compatibility graph with pivoting;
-    each clique comes out as its ascending mask tuple.
+    Enumerated as maximal cliques of the compatibility graph by the unrooted
+    walk; each clique comes out as its ascending mask tuple.
     """
     ctx = _clique_layer(n, k)
-    cliques, nodes, _ = _maximal_cliques(ctx, t, None)
-    return [Family(key, ctx.ground, k) for key in cliques], nodes
+    keys = list(_maximal_cliques(ctx, t, None))
+    return [Family(key, ctx.ground, k) for key in keys if key is not None], len(keys)
 
 
 def _maximize_t_intersecting(p: SearchProblem) -> SearchResult:
+    """The best maximal t-intersecting family, scored as the rooted walk emits it.
+
+    S_n is transitive on the k-layer and relabeling maps maximal cliques to
+    maximal cliques, so some maximizer holds {1..k}, the smallest mask.  A key
+    starting with that mask is below every key without it, so the smallest
+    maximizer's key, the witness, is among the cliques of the walk rooted
+    there: the value and witness are those of the unrooted walk.
+    """
     if p.k is None or p.t is None:
         raise DomainError("max_I_t_intersecting needs k and t")
     ctx = _clique_layer(p.n, p.k)
-    cliques, nodes, complete = _maximal_cliques(
-        ctx, p.t, p.budget if p.budget is not None else 10 ** 6)
-    value, witness, _, _ = _best_family(cliques, ctx.ground, p.k, None)
-    return SearchResult(value, witness, nodes, complete)
+    budget = p.budget if p.budget is not None else 10 ** 6
+    return SearchResult(*_best_family(_maximal_cliques(ctx, p.t, 0), ctx.ground, p.k, budget))
 
 
 # --- antichain and cross-Sperner maximizers --------------------------------

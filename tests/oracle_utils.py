@@ -326,15 +326,17 @@ def sample_pair_draws(n, k, rng, max_members=3):
     raise AssertionError("no cross-intersecting draw in 200 tries")
 
 
-def recursive_cliques(n, k, t):
+def recursive_cliques(n, k, t, root=None):
     """The maximal t-intersecting families of k-sets, by recursive Bron-Kerbosch.
 
     Vertices are the sorted k-set bitmasks, joined when distinct and sharing
     >= t elements.  The pivot is the first vertex of P u X (in index order)
     with the most neighbours in P, and the candidates outside its
-    neighbourhood are expanded lowest first.  Returns the cliques as vertex
-    bitsets, in the order found, the number of calls, and for each clique
-    the number of the call that found it (the first call is 1).
+    neighbourhood are expanded lowest first.  The first call has R, P, X =
+    {}, every vertex, {}; with a vertex index `root`, R = {root} and P its
+    neighbours, so only the cliques holding root are found.  Returns the
+    cliques as vertex bitsets, in the order found, the number of calls, and
+    for each clique the number of the call that found it (the first call is 1).
     """
     layer = _layer_masks(n, k)
     neigh = [sum(1 << j for j, b in enumerate(layer) if b != a and (a & b).bit_count() >= t)
@@ -355,7 +357,10 @@ def recursive_cliques(n, k, t):
                 p &= ~(1 << v)
                 x |= 1 << v
 
-    bk(0, (1 << len(layer)) - 1, 0)
+    if root is None:
+        bk(0, (1 << len(layer)) - 1, 0)
+    else:
+        bk(1 << root, neigh[root], 0)
     return out, calls[0], found_at
 
 

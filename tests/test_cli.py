@@ -456,12 +456,13 @@ def test_search_budget_still_accepted(capsys):
 
 @pytest.mark.parametrize("n,t", [(30, 15), (40, 20)])
 def test_search_t_above_k_builds_no_t_set_table(capsys, n, t):
-    # no two 2-sets share t elements: every 2-set is its own maximal family
+    # no two 2-sets share t elements: every 2-set is its own maximal family,
+    # and the walk rooted at the first 2-set ends at its one node
     code, out, _ = run_cli(capsys, "search", "--objective", "I_t_intersecting",
                            "--n", str(n), "--k", "2", "--t", str(t))
     assert code == 0
     res = json.loads(out)["result"]
-    assert (res["value"], res["nodes"]) == ("0", n * (n - 1) // 2 + 1)
+    assert (res["value"], res["nodes"]) == ("0", 1)
     assert sets_above(n, 2, t) == {}
 
 
@@ -478,12 +479,13 @@ def test_search_large_k_small_layer(capsys):
 
 def test_search_clique_of_1128_members(capsys):
     # any two 46-sets of [48] share >= 44 elements: one clique, found without
-    # recursing once per member; the pairs meet in the 44- and 45-sets
+    # recursing once per member (the root node holds the first 46-set, then
+    # one node per other member); the pairs meet in the 44- and 45-sets
     code, out, _ = run_cli(capsys, "search", "--objective", "I_t_intersecting",
                            "--n", "48", "--k", "46", "--t", "44")
     assert code == 0
     res = json.loads(out)["result"]
-    assert (res["value"], res["nodes"], res["exhaustive"]) == ("211876", 1129, True)
+    assert (res["value"], res["nodes"], res["exhaustive"]) == ("211876", 1128, True)
 
 
 def test_csv_format(capsys):
@@ -568,9 +570,9 @@ GOLDEN_REPORTS = [
     ("search --objective I_cross --n 5 --k 2",
      "216b914aec9e099ba74360f049d654a208a9f56548e37a25212548bee9e9765a"),
     ("search --objective I_t_intersecting --n 6 --k 2 --t 1",
-     "fe477cb134c0a376ddaa0d407402ebfc8102afffb5dede3001011708f535957a"),
+     "a47a04950131abc24112b2f804bbae6c14cfb39f61fe8dace488b1cbf71c6c76"),
     ("search --objective I_t_intersecting --n 7 --k 4 --t 2",
-     "a5ecb83d2fde70a89c09ef9873dc5499b1ae3afa37e1d475c0860f20e1155c8e"),
+     "9e4a2e496a8377ba2e5f4c39a3cdef1b77306c379cf65811539927ff3009212e"),
     ("search --objective I_antichain --n 4",
      "7acc57a2dbde76e6b06735eebe3e658d7ed9841b449aee5b103ec0a28ff207be"),
     ("search --objective I_antichain --n 6 --budget 500",
@@ -588,7 +590,7 @@ GOLDEN_REPORTS = [
     ("verify-all --criteria 6,12",
      "c3e80c9c6b541232e40633b0daf5ba313ff401144aa2fbd40d7f346f1e1f2ad5"),
     ("search --objective I_t_intersecting --n 8 --k 3 --t 1",
-     "fb8967b19c3c0cb20da4296552b69e3e583c2eaec3a0eac47a440299967f7071"),
+     "5d1765e2d6ef5f5144329bf49d30312af746355452aae89f5f50750309464704"),
 ]
 
 

@@ -1,6 +1,7 @@
 import random
 import time
 from dataclasses import replace
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -15,6 +16,7 @@ from crossfam.families import (
     elements_of,
     is_cross_intersecting,
     is_cross_sperner,
+    is_t_intersecting,
     nth_bit,
     wedge,
 )
@@ -25,6 +27,7 @@ from crossfam.formulas import eval_formula
 from crossfam.search import (
     SearchProblem,
     _antichains,
+    _best_family,
     _closed_sets,
     _maximal_cliques,
     _subset_context,
@@ -119,12 +122,56 @@ def test_max_I_t_intersecting():
 @pytest.mark.parametrize("n,k,t", [(5, 2, 1), (6, 2, 1), (6, 3, 1), (6, 3, 2), (7, 3, 1),
                                    (7, 4, 2)])
 def test_t_intersecting_search_matches_clique_scan(n, k, t):
-    # every maximal family scored with the oracle; smallest member tuple wins ties
-    fams, nodes = maximal_t_intersecting_families(n, k, t)
+    # every maximal family scored with the oracle; smallest member tuple wins ties.
+    # The search walks only the cliques holding the first k-set, so its node
+    # count is not the scan's
+    fams, _ = maximal_t_intersecting_families(n, k, t)
     best = min(fams, key=lambda f: (-brute_count("I_self", f), f.members))
     res = maximize(SearchProblem("max_I_t_intersecting", n=n, k=k, t=t))
-    assert (res.value, res.witness, res.nodes_explored) == (
-        brute_count("I_self", best), best, nodes)
+    assert (res.value, res.witness, res.exhaustive) == (brute_count("I_self", best), best, True)
+
+
+# (n, k, t) cells; then k = 0, k = n and t >= k, where every clique is one set
+ROOTED_CELLS = [(5, 2, 1), (6, 2, 1), (6, 3, 1), (6, 3, 2), (7, 3, 1), (7, 4, 2), (8, 3, 1),
+                (8, 3, 2), (20, 18, 16), (26, 24, 23), (30, 2, 15),
+                (4, 0, 1), (5, 0, 3), (4, 4, 1), (5, 5, 2), (6, 3, 3), (6, 3, 4), (7, 2, 2)]
+
+
+@pytest.mark.parametrize("n,k,t", ROOTED_CELLS)
+def test_rooted_search_matches_unrooted_walk(n, k, t):
+    # the walk rooted at the first k-set scores the unrooted walk's best family
+    ctx = layer_context(n, k)
+    value, witness, total, complete = _best_family(
+        _maximal_cliques(ctx, t, None), ctx.ground, k, None)
+    res = maximize(SearchProblem("max_I_t_intersecting", n=n, k=k, t=t))
+    assert complete and (res.value, res.witness, res.exhaustive) == (value, witness, True)
+    assert witness.members[0] == ctx.masks[0]
+    assert res.nodes_explored <= total
+
+
+@pytest.mark.parametrize("n,k,t", [(7, 3, 1), (7, 4, 2), (8, 3, 2), (26, 24, 23)])
+def test_rooted_search_under_budget_cuts(n, k, t):
+    problem = SearchProblem("max_I_t_intersecting", n=n, k=k, t=t)
+    full = maximize(problem)
+    total = full.nodes_explored
+    assert full.exhaustive and total > 2
+    for budget in (1, total // 2, total - 1):
+        res = maximize(replace(problem, budget=budget))
+        assert (res.nodes_explored, res.exhaustive) == (budget, False)
+        assert res.value <= full.value
+
+
+@pytest.mark.parametrize("n,k,t,value", [(9, 3, 1, 24), (9, 4, 2, 40), (10, 5, 3, 70)])
+def test_max_I_t_intersecting_rows_past_n_8(n, k, t, value):
+    res = maximize(SearchProblem("max_I_t_intersecting", n=n, k=k, t=t))
+    assert (res.value, res.exhaustive) == (value, True)
+    assert is_t_intersecting(res.witness, t)
+    assert brute_count("I_self", res.witness) == value
+    if (n, k, t) == (10, 5, 3):
+        # Frankl's family of the 5-sets of [7]: any two share >= 3 elements and
+        # they meet in every 3- and 4-set of [7], 35 + 35 > A(10, 5, 3) = 65
+        assert res.witness == fam(combinations(range(1, 8), 5), 10, k=5)
+        assert value > eval_formula("I_Ankt_17", n=10, k=5, t=3) == 65
 
 
 @pytest.mark.parametrize("n,k,t", [(6, 2, 1), (8, 3, 1), (8, 3, 2), (10, 4, 2), (9, 3, 3),
@@ -184,23 +231,31 @@ def test_maximal_cliques_of_large_k_layers():
 
 @pytest.mark.parametrize("n,k,t", [(6, 2, 1), (7, 3, 1), (8, 3, 1), (8, 3, 2), (7, 4, 2)])
 def test_maximal_cliques_match_recursive_oracle(n, k, t):
-    # the explicit stack visits the nodes of the recursion, in its order;
-    # the oracle's vertex bitsets become the ascending mask tuples emitted
+    # the explicit stack visits the nodes of the recursion, in its order, rooted
+    # or not: node i yields the ascending mask tuple of the oracle's vertex
+    # bitset found by call i, and None if that call found none
     ctx = layer_context(n, k)
-    cliques, calls, _ = oracle.recursive_cliques(n, k, t)
-    assert _maximal_cliques(ctx, t, None) == ([ctx.masks_of(rb) for rb in cliques], calls, True)
+    for root in (None, 0):
+        cliques, calls, found_at = oracle.recursive_cliques(n, k, t, root)
+        want = [None] * calls
+        for rb, at in zip(cliques, found_at):
+            want[at - 1] = ctx.masks_of(rb)
+        assert list(_maximal_cliques(ctx, t, root)) == want
 
 
 def test_maximal_cliques_budget_cuts_the_unbudgeted_walk():
     # the pivot's early stop and the dead-end skip leave every node a node:
-    # b nodes give the cliques the recursion finds in its first b calls
+    # a budget of b nodes scores the cliques the recursion finds in its first b calls
     ctx = layer_context(7, 3)
-    full, total, complete = _maximal_cliques(ctx, 1, None)
-    _, calls, found_at = oracle.recursive_cliques(7, 3, 1)
-    assert complete and total == calls > 2
+    cliques, total, found_at = oracle.recursive_cliques(7, 3, 1)
+    assert total > 2
     for b in (1, total // 2, total - 1):
-        want = full[:sum(at <= b for at in found_at)]
-        assert _maximal_cliques(ctx, 1, b) == (want, b, False)
+        first = [Family.from_masks(ctx.masks_of(rb), ctx.ground, 3)
+                 for rb, at in zip(cliques, found_at) if at <= b]
+        best = min(first, key=lambda f: (-brute_count("I_self", f), f.members),
+                   default=Family.from_masks((), ctx.ground, 3))
+        got = _best_family(_maximal_cliques(ctx, 1, None), ctx.ground, 3, b)
+        assert got == (brute_count("I_self", best), best, b, False)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
