@@ -13,6 +13,15 @@ its complement meets every s-matching, so the largest one has C(n, 2) - tau
 edges, where tau is the covering number of the s-matchings viewed as sets
 of edge positions (max_edges_without_matching).  Comparing that one number
 with the bound decides every edge set at once.
+
+Where a check is closed under relabeling it runs on one case per class.
+Criterion 5 checks nu <= 4 at (k, n) = (3, 10) on (T(G), G) for one G in
+each of the 16 relabeling classes of families of 1 to 3 k-sets
+(``small_family_classes``): those pairs are all the seeded sampler can
+draw there.  Criterion 12 checks EKR and Hilton-Milner on every maximal
+intersecting family holding {1..k} (``rooted_maximal_t_intersecting``),
+at k = 2, n <= 7 and at (3, 10), where it finds both bounds attained.
+Only its pyber and emc checks at (3, 10) stay seeded draws.
 """
 
 from __future__ import annotations
@@ -20,8 +29,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from math import comb
+from operator import and_
 
 from .branching import run_branching_cross, run_branching_t, smallest_branching_level
 from .constructions import (
@@ -46,16 +56,20 @@ from .search import (
     all_saturated_pairs,
     are_isomorphic,
     brute_count,
-    maximal_t_intersecting_families,
     maximize,
     randomized_check,
+    realized_corank1_layer,
+    rooted_maximal_t_intersecting,
     sample_saturated_pair,
     sample_saturated_t_family,
+    small_family_classes,
     _trial_rng,
 )
 from .transversals import (
     basis_pair,
     basis_t,
+    has_matching_of_size,
+    layer_context,
     matching_number,
     max_edges_without_matching,
 )
@@ -117,24 +131,32 @@ def _c04_wedge_formulas() -> tuple[bool, str]:
 
 
 def _c05_corank_matching() -> tuple[bool, str]:
-    # every saturated pair at k = 2 (the check lists them), 10^4 seeded draws at k = 3
+    # every saturated pair at k = 2 (the check lists them).  At (3, 10) every pair
+    # the seeded sampler can draw, (T(G), G) with 1 <= |G| <= 3, for one G per
+    # relabeling class: nu is invariant under relabeling
     listed = 0
-    for k, n in [(2, n) for n in range(6, 11)] + [(3, 10)]:
-        rep = randomized_check("prop21_nu_le4", {"n": n, "k": k},
-                               trials=10_000, seed=SEED)
+    for n in range(6, 11):
+        rep = randomized_check("prop21_nu_le4", {"n": n, "k": 2}, trials=1, seed=SEED)
         if not rep.passed:
-            return False, f"nu > 4 at (k,n)=({k},{n}): {rep.first_counterexample}"
-        if k == 2:
-            if not rep.exhaustive:
-                return False, f"saturated pairs at (k,n)=(2,{n}) were sampled, not listed"
-            listed += rep.trials
+            return False, f"nu > 4 at (k,n)=(2,{n}): {rep.first_counterexample}"
+        if not rep.exhaustive:
+            return False, f"saturated pairs at (k,n)=(2,{n}) were sampled, not listed"
+        listed += rep.trials
+    ctx = layer_context(10, 3)
+    classes = small_family_classes(10, 3, 3)
+    for g in classes:
+        fb, gb = ctx.closure(ctx.bits_of(g))
+        if has_matching_of_size(realized_corank1_layer(ctx, fb, gb), 5):
+            return False, f"nu > 4 at (k,n)=(3,10) on (T(G), G), G = {ctx.family_of(gb).sets()}"
     for k, n in ((2, 8), (3, 10)):
         f, g = four_core_pair(n, k)
         layer = distinct_intersections(f, g).layer(k - 1)
         if matching_number(layer) != 4:
             return False, f"tightness pair misses nu = 4 at (k,n)=({k},{n})"
     return True, (f"nu <= 4 on all {listed} saturated pairs at k=2, n=6..10, and on "
-                  f"10^4 sampled at (k,n)=(3,10); tightness pair attains nu = 4")
+                  f"(T(G), G) for G in all {len(classes)} relabeling classes of 1 <= |G| <= 3 "
+                  f"at (k,n)=(3,10), every pair the sampler draws there; "
+                  f"tightness pair attains nu = 4")
 
 
 def _admitted(draw, t: int, count: int) -> list:
@@ -255,24 +277,38 @@ def _c11_small_space_optima() -> tuple[bool, str]:
     return True, "max |I| = 4 for n in {4,5,6} at k=2; t=1 maximum 3 with triangle witness"
 
 
+def _ekr_hm(n: int, k: int):
+    """EKR, and HM at n > 2k, on the maximal intersecting k-uniform families on [n] holding {1..k}.
+
+    Returns a failure or None, the number of families, and for each bound its
+    name, its value and the largest family it speaks of: any family for EKR,
+    a non-trivial one (common meet 0) for HM.  Both bounds are invariant under
+    relabeling, and every maximal family relabels to one of these, so they
+    decide both bounds for every intersecting family: each lies in a maximal
+    one, which is no smaller, and whose common meet lies in the family's, so
+    it is non-trivial when the family is.
+    """
+    count = largest = largest_nontrivial = 0
+    for ms in rooted_maximal_t_intersecting(n, k, 1):
+        count += 1
+        largest = max(largest, len(ms))
+        if not reduce(and_, ms):
+            largest_nontrivial = max(largest_nontrivial, len(ms))
+    tops = [("EKR", eval_formula("ekr_bound", n=n, k=k), largest)]
+    if n > 2 * k:
+        tops.append(("HM", eval_formula("hm_bound", n=n, k=k), largest_nontrivial))
+    for name, bound, top in tops:
+        if top > bound:
+            return f"{name} fails at (k,n)=({k},{n}): {top} sets", count, tops
+    return None, count, tops
+
+
 def _c12_cited_bounds() -> tuple[bool, str]:
     # exhaustive at k = 2 for 2k <= n <= 7, each bound inside its hypotheses
     for n in range(4, 8):
-        ekr = comb(n - 1, 1)
-        hm = eval_formula("hm_bound", n=n, k=2) if n > 4 else None
-        full = GroundSet(n).full_mask
-        # the maximal families decide EKR and HM for all: every intersecting family
-        # lies in a maximal one, which is no smaller, and whose common meet lies in
-        # the family's, so it is non-trivial (meet 0) when the family is
-        for ms in (fam.members for fam in maximal_t_intersecting_families(n, 2, 1)[0]):
-            if len(ms) > ekr:
-                return False, f"EKR fails at n={n}: {len(ms)} sets"
-            if hm is not None:
-                meet = full
-                for m in ms:
-                    meet &= m
-                if meet == 0 and len(ms) > hm:
-                    return False, f"HM fails at n={n}: {len(ms)} sets"
+        failure = _ekr_hm(n, 2)[0]
+        if failure:
+            return False, failure
         _, pairs = all_saturated_pairs(n, 2)
         bound = comb(n - 1, 1) ** 2
         for fb, gb in pairs:
@@ -286,18 +322,22 @@ def _c12_cited_bounds() -> tuple[bool, str]:
         nu_star = n // 2 - 1
         if max_edges_without_matching(n, nu_star + 1) > nu_star * (n - 1):
             return False, f"matching bound fails at n={n}"
-    # seeded random families at (k, n) = (3, 10)
-    ctx_bound = comb(9, 2)
-    for i in range(1000):
-        rng = _trial_rng(SEED + 12, i)
-        fam = sample_saturated_t_family(10, 3, 1, rng)
-        if len(fam) > ctx_bound:
-            return False, "EKR fails on a random intersecting family at (3,10)"
-    for prop in ("hm", "pyber", "emc"):
+    failure, count, tops = _ekr_hm(10, 3)
+    if failure:
+        return False, failure
+    attained = [f"{name} {bound} " + ("attained" if top == bound else f"not attained (max {top})")
+                for name, bound, top in tops]
+    # seeded draws at (3, 10); every pyber draw is (T(G), G) with |G| <= 3, so
+    # |F| |G| <= 3 C(10, 3) = 360 < C(9, 2)^2
+    for prop in ("pyber", "emc"):
         rep = randomized_check(prop, {"n": 10, "k": 3}, trials=1000, seed=SEED + 13)
         if not rep.passed:
             return False, f"{prop} fails at (3,10): {rep.first_counterexample}"
-    return True, "EKR/HM/product/matching bounds hold exhaustively (k=2, n<=7) and on 10^3 random (3,10) families"
+    return True, (f"EKR/HM hold on every maximal intersecting family up to relabeling at "
+                  f"k=2, n<=7 and on all {count} holding {{1,2,3}} at (k,n)=(3,10) "
+                  f"({' and '.join(attained)}); product/matching bounds hold exhaustively at "
+                  f"k=2, n<=7; pyber and emc on 10^3 random (3,10) draws, where pyber's pairs, "
+                  f"all (T(G), G) with |G| <= 3, cannot reach C(9,2)^2")
 
 
 CRITERIA = (

@@ -33,7 +33,9 @@ Tanaka & Takahashi (2006), whose scan stops at the first vertex with all
 of P as neighbours, rooted at the first k-set.  Each clique comes out as
 its ascending mask tuple, the key ``_best_family`` scores as it comes and
 ``Family`` accepts; ``maximal_t_intersecting_families`` lists them all
-from the unrooted walk.
+from the unrooted walk, and ``rooted_maximal_t_intersecting`` those
+holding {1..k}, one or more per relabeling class.  ``small_family_classes``
+lists one family of 1..m k-sets per relabeling class by its Venn vector.
 
 Every count of |F wedge G| or |I(F, G)| here goes through the one kernel
 ``families._intersections``; ``brute_count`` alone keeps its own loops, as
@@ -48,10 +50,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import islice, permutations
+from functools import lru_cache
+from itertools import permutations, product
 from math import comb
-from operator import and_
 
 from .families import (
     MAX_GROUND,
@@ -321,10 +322,16 @@ def _maximal_cliques(ctx: LayerContext, t: int, root: int | None):
     first, so the lowest is expanded first, as in the recursive form; a
     child's P has lost, and its X has gained, the lower candidates, its
     elder siblings.
+
+    P | X only ever holds the layer, or masks[root] and its neighbours, so
+    only those rows are built.
     """
     rows = t_rows(ctx.ground.n, ctx.k, t)
     masks = ctx.masks
-    neigh = [rows[mask] & ~(1 << i) for i, mask in enumerate(masks)]
+    live = ctx.full_bits if root is None else rows[masks[root]] | 1 << root
+    neigh = [0] * len(masks)
+    for e in elements_of(live):
+        neigh[e - 1] = rows[masks[e - 1]] & ~(1 << e - 1)
     if root is None:
         stack = [((), ctx.full_bits, 0)]
     else:
@@ -364,6 +371,15 @@ def maximal_t_intersecting_families(n: int, k: int, t: int):
     ctx = _clique_layer(n, k)
     keys = list(_maximal_cliques(ctx, t, None))
     return [Family(key, ctx.ground, k) for key in keys if key is not None], len(keys)
+
+
+def rooted_maximal_t_intersecting(n: int, k: int, t: int):
+    """The maximal t-intersecting k-uniform families on [n] that hold {1..k}, by the rooted walk.
+
+    Each comes as its ascending mask tuple.  S_n is transitive on the k-layer, so
+    every maximal family relabels to one of these.
+    """
+    return filter(None, _maximal_cliques(_clique_layer(n, k), t, 0))
 
 
 def _maximize_t_intersecting(p: SearchProblem) -> SearchResult:
@@ -625,17 +641,6 @@ def _emc_trials(n: int, params: dict, trials: int, seed: int):
     return False, (outcome(sample_family_bits(ctx, rng)) for rng in _trial_rngs(seed, trials))
 
 
-def _hm_trials(n: int, params: dict, trials: int, seed: int):
-    k = params["k"]
-    full = layer_context(n, k).ground.full_mask
-    bound = comb(n - 1, k - 1) - comb(n - k - 1, k - 1) + 1
-    fams = (sample_saturated_t_family(n, k, 1, rng) for rng in _trial_rngs(seed, trials * 20))
-    # a trivial star is out of scope for this bound: only the others count as trials
-    nontrivial = (fam for fam in fams if not reduce(and_, fam.members, full))
-    return False, islice(({"F": [list(s) for s in fam.sets()]} if len(fam) > bound else None
-                          for fam in nontrivial), trials)
-
-
 def _prop53_trials(n: int, params: dict, trials: int, seed: int):
     full = 2 ** n
 
@@ -653,7 +658,6 @@ _CHECKS = {
     "prop21_nu_le4": _prop21_trials,
     "pyber": _pyber_trials,
     "emc": _emc_trials,
-    "hm": _hm_trials,
     "prop53_antichain": _prop53_trials,
 }
 
@@ -664,8 +668,7 @@ def randomized_check(property_name: str, params: dict, trials: int,
 
     A found counterexample makes the report fail; it never raises.
     prop21_nu_le4 runs exhaustively at k = 2, n <= 10, and prop53_antichain
-    for n <= 5, regardless of `trials`; hm counts only the non-star families
-    it drew (at most 20 * trials).
+    for n <= 5, regardless of `trials`.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
@@ -684,7 +687,7 @@ def randomized_check(property_name: str, params: dict, trials: int,
     return report
 
 
-# --- saturated-pair closure enumeration (small k-uniform layers) ------------
+# --- saturated pairs and small families, listed ----------------------------
 
 _PAIRS_LAYER_CAP = 1500  # closed sets are listed on layers of at most this many k-sets
 
@@ -700,3 +703,48 @@ def all_saturated_pairs(n: int, k: int):
         raise DomainError(f"layer C({n},{k}) too large for closure enumeration")
     ctx = layer_context(n, k)
     return ctx, [(x, ctx.meet_all(x)) for x in _closed_sets(ctx)]
+
+
+def small_family_classes(n: int, k: int, most: int) -> list[tuple[int, ...]]:
+    """One family of each relabeling class of families of 1..most distinct k-sets of [n].
+
+    Each comes as its ascending mask tuple.  Read in some order of its m
+    members, a family has a Venn vector: region r, a nonempty set of members
+    as an m-bit mask, holds the elements lying in exactly the members of r.
+    Two families are relabelings of each other exactly when their vectors
+    agree in some orders of their members.  So the classes are the vectors
+    that give every member k elements and the ground at most n, with no two
+    members alike (of equal size, so alike when no region holds one and not
+    the other), each in its least form over the m! member orders.  The shared
+    regions (two or more members) are chosen and each member's own region
+    makes up its k.  The representative fills the regions in turn with
+    1, 2, ...
+    """
+    out = []
+    for m in range(1, most + 1):
+        regions = range(1, 1 << m)
+        shared = [r for r in regions if r & (r - 1)]
+        # region r under the member order p: the members p[i], i in r
+        moves = [[sum(1 << p[i] for i in range(m) if r >> i & 1) for r in regions]
+                 for p in permutations(range(m))]
+        for cut in product(range(k + 1), repeat=len(shared)):
+            size = dict(zip(shared, cut))
+            for i in range(m):
+                size[1 << i] = k - sum(s for r, s in zip(shared, cut) if r >> i & 1)
+            vec = tuple(size[r] for r in regions)
+            if min(vec) < 0 or sum(vec) > n:
+                continue
+            if any(not any(size[r] for r in regions if r >> i & 1 and not r >> j & 1)
+                   for i in range(m) for j in range(i)):
+                continue
+            if vec != min(tuple(size[r] for r in move) for move in moves):
+                continue
+            masks, start = [0] * m, 0
+            for r in regions:
+                block = ((1 << size[r]) - 1) << start
+                start += size[r]
+                for i in range(m):
+                    if r >> i & 1:
+                        masks[i] |= block
+            out.append(tuple(sorted(masks)))
+    return out

@@ -588,7 +588,7 @@ GOLDEN_REPORTS = [
     ("verify-all --criteria 8,9,10,11",
      "eeac513163946792a29f40113b06d356af0ad0ad2b42c365f62fb6bedc94eb1a"),
     ("verify-all --criteria 6,12",
-     "c3e80c9c6b541232e40633b0daf5ba313ff401144aa2fbd40d7f346f1e1f2ad5"),
+     "d5c9d4e05d27459cff22e98752d8a9036a27eac69f93dda9f0b54cd9ab88adb1"),
     ("search --objective I_t_intersecting --n 8 --k 3 --t 1",
      "5d1765e2d6ef5f5144329bf49d30312af746355452aae89f5f50750309464704"),
 ]

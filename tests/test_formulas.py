@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +130,37 @@ def test_inequality_examples():
         check_inequality("ineq_1_7", n=10, k=4, p=2)
     with pytest.raises(DomainError):
         check_inequality("ineq_1_10", l=1, t=1)
+
+
+class _Side(int):
+    """An exact integer that logs (left, right) for each > it is the left side of.
+
+    Products with it stay _Side, so the two sides a kernel compares are logged."""
+
+    log: list = []
+
+    def __mul__(self, other):
+        return _Side(int(self) * other)
+
+    __rmul__ = __mul__
+
+    def __gt__(self, other):
+        _Side.log.append((int(self), int(other)))
+        return int(self) > int(other)
+
+
+@pytest.mark.parametrize("n, k, p", [(7, 2, 1), (20, 4, 2), (20, 3, 13), (50, 7, 30),
+                                     (200, 20, 159)])
+def test_ineq_1_7_slack_is_exact(monkeypatch, n, k, p):
+    # (1.7) holds at every admissible tuple, so no verdict catches a kernel
+    # that shrinks its left side (C(n-1, k) for C(n, k)); its slack does
+    from crossfam import formulas
+
+    monkeypatch.setattr(_Side, "log", [])
+    monkeypatch.setattr(formulas, "comb", lambda a, b: _Side(comb(a, b)))
+    assert check_inequality("ineq_1_7", n=n, k=k, p=p)
+    [(lhs, rhs)] = _Side.log
+    assert rhs - lhs == (n - p) * comb(n - p, k) - (n - p * (k + 1)) * comb(n, k)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,8 +1,10 @@
 import random
 import time
 from dataclasses import replace
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from crossfam.families import (
     nth_bit,
     wedge,
 )
-from crossfam import search
+from crossfam import search, transversals
 from crossfam.acceptance import SEED
 from crossfam.constructions import four_star_pair, triangle_family
 from crossfam.formulas import eval_formula
@@ -40,8 +42,10 @@ from crossfam.search import (
     randomized_check,
     realized_corank1_layer,
     remap_mask,
+    rooted_maximal_t_intersecting,
     sample_saturated_pair_bits,
     sample_saturated_t_family,
+    small_family_classes,
     _trial_rng,
 )
 from crossfam.transversals import layer_context
@@ -258,6 +262,59 @@ def test_maximal_cliques_budget_cuts_the_unbudgeted_walk():
         assert got == (brute_count("I_self", best), best, b, False)
 
 
+def test_rooted_walk_builds_only_the_rows_it_reads(monkeypatch):
+    # rooted at masks[0], P | X only holds masks[0] and its neighbours
+    tables = []
+
+    def fresh_rows(n, k, t):
+        tables.append(transversals._RowTable(n, k, t))
+        return tables[-1]
+
+    monkeypatch.setattr(search, "t_rows", fresh_rows)
+    ctx = layer_context(14, 6)
+    cliques = [key for key in _maximal_cliques(ctx, 5, 0) if key is not None]
+    row = transversals.t_rows(14, 6, 5)[ctx.masks[0]]
+    assert sorted(tables[0]) == sorted(ctx.masks_of(row))
+    assert len(tables[0]) == 49 < len(ctx.masks)
+    assert sorted(cliques) == sorted(key for key in _maximal_cliques(ctx, 5, None)
+                                     if key is not None and key[0] == ctx.masks[0])
+
+
+def test_rooted_maximal_families_at_3_10_attain_ekr_and_hm():
+    # c12's walk: every maximal intersecting family relabels to one of these
+    families = list(rooted_maximal_t_intersecting(10, 3, 1))
+    assert len(families) == 17938
+    assert all(key[0] == 0b111 for key in families)
+    assert max(map(len, families)) == eval_formula("ekr_bound", n=10, k=3) == 36
+    nontrivial = [key for key in families if not reduce(and_, key)]
+    assert max(map(len, nontrivial)) == eval_formula("hm_bound", n=10, k=3) == 22
+
+
+@pytest.mark.parametrize("n,k", [(6, 2), (7, 2), (6, 3)])
+def test_small_family_classes_one_per_relabeling_class(n, k):
+    # the relabelings of the representatives are every family of 1..3 k-sets, and
+    # no two representatives share a canonical key: one per canonical_family_key group
+    reps = small_family_classes(n, k, 3)
+    assert len({canonical_family_key(rep, n) for rep in reps}) == len(reps)
+    relabeled = {tuple(sorted(remap_mask(m, p) for m in rep))
+                 for rep in reps for p in search._all_perms(n)}
+    masks = layer_context(n, k).masks
+    assert relabeled == {fam for m in (1, 2, 3) for fam in combinations(masks, m)}
+    assert len(reps) == {(6, 2): 8, (7, 2): 8, (6, 3): 11}[n, k]
+
+
+def test_small_family_classes_at_3_10_are_the_samplers_g_sides():
+    # 16 classes, and saturation keeps each representative as the G side
+    reps = small_family_classes(10, 3, 3)
+    assert len(reps) == 16
+    assert sorted(map(len, reps)) == [1] + [2] * 3 + [3] * 12
+    ctx = layer_context(10, 3)
+    for rep in reps:
+        gb = ctx.bits_of(rep)
+        assert ctx.closure(gb) == (ctx.meet_all(gb), gb)
+        assert ctx.meet_all(ctx.meet_all(gb)) == gb
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_antichain_walk_matches_recursion(n):
     assert list(_antichains(n)) == oracle.recursive_antichains(n)
@@ -449,8 +506,6 @@ def test_randomized_checks_pass():
     assert randomized_check("prop21_nu_le4", {"n": 10, "k": 3}, 300, 1).passed
     assert randomized_check("pyber", {"n": 8, "k": 2}, 200, 2).passed
     assert randomized_check("emc", {"n": 10, "k": 3}, 100, 3).passed
-    hm = randomized_check("hm", {"n": 10, "k": 3}, 50, 4)
-    assert hm.passed and hm.trials == 50
     p53 = randomized_check("prop53_antichain", {"n": 4}, 1, 5)
     assert p53.passed and p53.exhaustive and p53.trials == 168
     p53b = randomized_check("prop53_antichain", {"n": 6}, 100, 6)
@@ -476,7 +531,8 @@ def test_prop21_lists_every_pair_at_k2_and_checks_each_draw_once(monkeypatch):
 
 
 def test_gate_samples_at_3_10_never_grow_the_g_side():
-    # c05's draws: |G| <= 3 = k <= n - k = 7, so each pair is (T(G), G)
+    # the sampler c12's pyber check draws from: |G| <= 3 = k <= n - k = 7, so each
+    # pair is (T(G), G), the pairs c05 checks class by class (small_family_classes)
     ctx = layer_context(10, 3)
     for i in range(300):
         fb, gb = sample_saturated_pair_bits(ctx, _trial_rng(SEED, i))
